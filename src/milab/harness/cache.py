@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 
 import numpy as np
 
 from .. import nncore
 from ..datagen import Dataset
+
+logger = logging.getLogger(__name__)
 
 
 def canonical_json(obj) -> str:
@@ -62,12 +65,11 @@ class ModelCache:
     ``hits`` / ``misses`` count lookups during this process's lifetime.
     """
 
-    def __init__(self, root: str | None):
+    def __init__(self, root: str):
         self.root = root
         self.hits = 0
         self.misses = 0
-        if root:
-            os.makedirs(os.path.join(root, "models"), exist_ok=True)
+        os.makedirs(os.path.join(root, "models"), exist_ok=True)
 
     def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
         return digest({
@@ -79,17 +81,24 @@ class ModelCache:
     def _stem(self, key: str) -> str:
         return os.path.join(self.root, "models", key)
 
-    def train(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> nncore.ModelParams:
-        """Train or fetch; cached parameters equal fresh ones bit for bit."""
-        if self.root is None:
-            return nncore.train(ds, cfg, hidden)
-        key = self.model_key(ds, cfg, hidden)
+    def get(self, key: str) -> nncore.ModelParams | None:
+        """The cached model, or None (a miss) when it is absent or damaged.
+
+        Cached parameters equal freshly trained ones bit for bit; an entry
+        that no longer loads counts as a miss, so the caller retrains and
+        overwrites it."""
         stem = self._stem(key)
         if nncore.model_exists(stem):
-            self.hits += 1
-            return nncore.load_model(stem)[0]
+            try:
+                model = nncore.load_model(stem)[0]
+            except ValueError as exc:
+                logger.warning("damaged cache entry %s, retraining: %s", stem, exc)
+            else:
+                self.hits += 1
+                return model
         self.misses += 1
-        model = nncore.train(ds, cfg, hidden)
-        nncore.save_model(model, stem, seed=cfg.seed,
+        return None
+
+    def put(self, key: str, model: nncore.ModelParams, cfg: nncore.TrainConfig) -> None:
+        nncore.save_model(model, self._stem(key), seed=cfg.seed,
                           config_hash=digest(train_config_dict(cfg)))
-        return model

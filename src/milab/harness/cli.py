@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .. import __version__, metrics, theory
 from ..attack import read_scores_csv, split_scores
-from .config import ConfigError, load_config, replace_config
+from .config import ConfigError, load_config
 from .runner import StageError, run_ablation, run_privacy_game, run_static_baseline
 
 
@@ -35,9 +36,9 @@ def _load_cfg(args) -> "ExperimentConfig":
     if args.paper_scale:
         cfg = cfg.paper_scale()
     if args.seed is not None:
-        cfg = replace_config(cfg, master_seed=args.seed)
+        cfg = replace(cfg, master_seed=args.seed)
     if args.workers is not None:
-        cfg = replace_config(cfg, workers=args.workers)
+        cfg = replace(cfg, workers=args.workers)
     return cfg
 
 

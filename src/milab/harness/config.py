@@ -8,7 +8,8 @@ core; ``paper_scale()`` restores the 500-challenge / 64-target protocol sizes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, replace
 
 from .. import datagen
 from ..attack import CHAMELEON, GAP
@@ -86,6 +87,9 @@ class ExperimentConfig:
         unknown = set(self.attacks) - {CHAMELEON, GAP}
         if unknown:
             raise ConfigError(f"unknown attacks: {sorted(unknown)}")
+        d = self.dataset
+        if d.kind != "csv" and self.num_challenge_points > d.num_classes * d.n_per_class:
+            raise ConfigError("more challenge points than pool points")
 
     def canonical_dict(self) -> dict:
         """Result-determining fields only (workers excluded)."""
@@ -96,12 +100,12 @@ class ExperimentConfig:
         return doc
 
     def paper_scale(self) -> "ExperimentConfig":
-        return replace_config(self, num_challenge_points=500, num_target_models=64)
-
-
-def replace_config(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    from dataclasses import replace
-    return replace(cfg, **updates)
+        """The paper's protocol sizes: 500 challenge points and 64 target
+        models, drawn from a pool of at least 1000 points."""
+        n_per_class = max(self.dataset.n_per_class,
+                          math.ceil(1000 / self.dataset.num_classes))
+        return replace(self, num_challenge_points=500, num_target_models=64,
+                       dataset=replace(self.dataset, n_per_class=n_per_class))
 
 
 def _build(section: dict, cls, name: str):

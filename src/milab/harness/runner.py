@@ -16,14 +16,14 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .. import __version__, metrics, nncore
-from ..attack import (CHAMELEON, GAP, LabelOnlyModel, ScoreRecord,
-                      chameleon_score, gap_score, split_scores,
-                      write_scores_csv)
+from ..attack import (CHAMELEON, LabelOnlyModel, ScoreRecord, chameleon_score,
+                      gap_score, split_scores, write_scores_csv)
 from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        gen_neighbors, load_csv_dataset, make_split_plan,
                        save_dataset)
@@ -48,12 +48,37 @@ TAG_TARGET_MODEL = 7
 TAG_STRICT = 8
 TAG_STRICT_IN = 9
 
+# Run-manifest artifact name -> file in the run directory.
+ARTIFACTS = {
+    "dataset": "dataset.bin",
+    "challenges": "challenges.json",
+    "poison_plan": "poison_plan.json",
+    "neighborhoods": "neighborhood_diagnostics.csv",
+    "model_stats": "model_stats.csv",
+    "scores": "scores.csv",
+    "metrics": "metrics.csv",
+}
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name: str, stage_seconds: dict[str, float]):
+    """Time one stage of the game into ``stage_seconds``; any failure other
+    than a configuration error becomes a StageError naming the stage."""
+    start = time.perf_counter()
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:  # partial artifacts stay on disk for inspection
+        raise StageError(name, exc) from exc
+    stage_seconds[name] = time.perf_counter() - start
 
 
 @dataclass
@@ -63,19 +88,13 @@ class CostReport:
     queries_per_challenge: dict[str, int]
     total_label_queries: int
     stage_seconds: dict[str, float]
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache_hits: int
+    cache_misses: int
 
     def to_dict(self) -> dict:
-        return {
-            "shadow_models": self.shadow_models,
-            "target_models": self.target_models,
-            "queries_per_challenge": dict(self.queries_per_challenge),
-            "total_label_queries": self.total_label_queries,
-            "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()},
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
+        doc = asdict(self)
+        doc["stage_seconds"] = {k: round(v, 3) for k, v in self.stage_seconds.items()}
+        return doc
 
 
 @dataclass
@@ -87,22 +106,6 @@ class GameResult:
     cost: CostReport
     out_dir: str
     model_stats: dict[str, float] = field(default_factory=dict)
-
-
-def account_cost(plan: PoisonPlan, cfg: ExperimentConfig,
-                 stage_seconds: dict[str, float] | None = None,
-                 total_label_queries: int = 0) -> CostReport:
-    """Shadow-model and query budget of a finished run."""
-    queries = {}
-    for attack in cfg.attacks:
-        queries[attack] = cfg.neighborhood.size + 1 if attack == CHAMELEON else 1
-    return CostReport(
-        shadow_models=plan.models_trained,
-        target_models=cfg.num_target_models,
-        queries_per_challenge=queries,
-        total_label_queries=total_label_queries,
-        stage_seconds=dict(stage_seconds or {}),
-    )
 
 
 def _quantize(ds: Dataset) -> Dataset:
@@ -128,7 +131,9 @@ def _train_job(args) -> nncore.ModelParams:
 
 
 class TrainerPool:
-    """Cached, optionally parallel model training with derived seeds."""
+    """Cached, optionally parallel model training with derived seeds.
+
+    ``keys`` lists the cache key of every model returned, in call order."""
 
     def __init__(self, base_cfg: nncore.TrainConfig, hidden: tuple[int, ...],
                  cache: ModelCache, workers: int = 1):
@@ -136,38 +141,38 @@ class TrainerPool:
         self.hidden = hidden
         self.cache = cache
         self.workers = workers
+        self.keys: list[str] = []
 
     def one(self, ds: Dataset, seed: int) -> nncore.ModelParams:
-        cfg = replace(self.base_cfg, seed=seed)
-        model = self.cache.train(ds, cfg, self.hidden)
-        if self.cache.root:
-            model.cache_key = self.cache.model_key(ds, cfg, self.hidden)
-        return model
+        return self.many([(ds, seed)])[0]
 
     def many(self, jobs: list[tuple[Dataset, int]]) -> list[nncore.ModelParams]:
-        models: list[nncore.ModelParams | None] = [None] * len(jobs)
-        missing = []
-        for i, (ds, seed) in enumerate(jobs):
-            cfg = replace(self.base_cfg, seed=seed)
-            key = self.cache.model_key(ds, cfg, self.hidden) if self.cache.root else None
-            if key is not None and nncore.model_exists(self.cache._stem(key)):
-                models[i] = self.cache.train(ds, cfg, self.hidden)
-                models[i].cache_key = key
-            else:
-                missing.append((i, ds, cfg, key))
+        cfgs = [replace(self.base_cfg, seed=seed) for _, seed in jobs]
+        keys = [self.cache.model_key(ds, cfg, self.hidden)
+                for (ds, _), cfg in zip(jobs, cfgs)]
+        models = [self.cache.get(key) for key in keys]
+        missing = [i for i, model in enumerate(models) if model is None]
+        args = [(jobs[i][0], cfgs[i], self.hidden) for i in missing]
         if self.workers > 1 and len(missing) > 1:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                trained = list(pool.map(
-                    _train_job, [(ds, cfg, self.hidden) for _, ds, cfg, _ in missing]))
+                trained = list(pool.map(_train_job, args))
         else:
-            trained = [_train_job((ds, cfg, self.hidden)) for _, ds, cfg, _ in missing]
-        for (i, ds, cfg, key), model in zip(missing, trained):
-            self.cache.misses += 1
-            if key is not None:
-                nncore.save_model(model, self.cache._stem(key), seed=cfg.seed)
-                model.cache_key = key
+            trained = [_train_job(a) for a in args]
+        for i, model in zip(missing, trained):
+            self.cache.put(keys[i], model, cfgs[i])
             models[i] = model
+        self.keys.extend(keys)
         return models  # order matches jobs: merged by index, not completion
+
+
+def _make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Attacker pool and held-out evaluation data."""
+    pool = _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_DATASET),
+                        cfg.dataset.n_per_class)
+    if cfg.dataset.kind == "csv":
+        return pool, pool
+    eval_per_class = max(1, cfg.eval_size // cfg.dataset.num_classes)
+    return pool, _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_EVAL), eval_per_class)
 
 
 def _pick_challenges(cfg: ExperimentConfig, pool: Dataset) -> ChallengeSet:
@@ -178,29 +183,45 @@ def _pick_challenges(cfg: ExperimentConfig, pool: Dataset) -> ChallengeSet:
     return make_challenge_set(pool, indices)
 
 
-def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
-                         in_models, out_models,
-                         out_dir: str) -> dict[int, NeighborhoodSet]:
-    """Candidate pools plus KL selection; one poison-free ensemble pair per
-    point (``in_models``/``out_models`` map point position -> model list)."""
-    modality = cfg.dataset.modality
-    noise = cfg.neighborhood.resolved_noise_scale(modality)
-    selected: dict[int, NeighborhoodSet] = {}
-    pools = {}
-    for pos in range(len(challenges)):
-        x = challenges.features[pos]
-        y = int(challenges.labels[pos])
-        cands = gen_neighbors(x, y, modality, cfg.neighborhood.pool_size, noise,
-                              derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
-        for c in cands:
-            c.x_c = c.x_c.astype(np.float32).astype(np.float64)
-        pools[pos] = cands
-        selected[pos] = select_neighborhood(
-            (x, y), cands, in_models[pos], out_models[pos],
-            t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)
-    export_diagnostics_csv(os.path.join(out_dir, "neighborhood_diagnostics.csv"),
-                           selected, pools)
-    return selected
+def _write_challenges(challenges: ChallengeSet, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({
+            "indices": challenges.indices.tolist(),
+            "labels": challenges.labels.tolist(),
+            "poisoned_labels": challenges.poisoned_labels.tolist(),
+        }, f, indent=2, sort_keys=True)
+
+
+def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
+            trainer: TrainerPool, k_static: int | None, game_strict: bool):
+    """Adaptive, static or strict per-point adaptive poisoning.
+
+    Returns the plan, the number of shadow models the attacker trained, and
+    the poison-free IN and OUT ensembles for the neighborhood stage (maps of
+    point position -> model list)."""
+    if game_strict:
+        return _strict_poisoning(cfg, pool, challenges, trainer)
+    poison_seed = derive_seed(cfg.master_seed, TAG_POISON)
+    if k_static is None:
+        plan = adapt_poison_multi(challenges, pool, cfg.poison, trainer.one,
+                                  seed=poison_seed, batch_trainer=trainer.many)
+    else:
+        # Static baseline still needs the poison-free shadow ensemble for
+        # the neighborhood stage; freezing every point at iteration 0
+        # trains exactly the 2m unpoisoned models (shared via the cache
+        # with any adaptive run on the same data).
+        shadow_cfg = PoisonConfig(t_p=1.0, m=cfg.poison.m, k_max=0)
+        shadow_plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.one,
+                                         seed=poison_seed, batch_trainer=trainer.many)
+        plan = replace(shadow_plan, replica_counts=static_plan(
+            k_static, len(challenges)).replica_counts)
+    iter0 = plan.iteration_models(0)
+    in_models, out_models = {}, {}
+    for pos, idx in enumerate(challenges.indices):
+        in_rows = set(plan.split.in_rows(int(idx)).tolist())
+        in_models[pos] = [t.model for t in iter0 if t.subset_row in in_rows]
+        out_models[pos] = [t.model for t in iter0 if t.subset_row not in in_rows]
+    return plan, plan.models_trained, in_models, out_models
 
 
 def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
@@ -233,7 +254,112 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
              for j in range(cfg.poison.m)])
         models_trained += cfg.poison.m
     plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)))
-    return plan, in_models, out_models, models_trained
+    return plan, models_trained, in_models, out_models
+
+
+def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
+                         in_models, out_models,
+                         path: str) -> dict[int, NeighborhoodSet]:
+    """Candidate pools plus KL selection; one poison-free ensemble pair per
+    point (``in_models``/``out_models`` map point position -> model list)."""
+    modality = cfg.dataset.modality
+    noise = cfg.neighborhood.resolved_noise_scale(modality)
+    selected: dict[int, NeighborhoodSet] = {}
+    pools = {}
+    for pos in range(len(challenges)):
+        x = challenges.features[pos]
+        y = int(challenges.labels[pos])
+        cands = gen_neighbors(x, y, modality, cfg.neighborhood.pool_size, noise,
+                              derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
+        for c in cands:
+            c.x_c = c.x_c.astype(np.float32).astype(np.float64)
+        pools[pos] = cands
+        selected[pos] = select_neighborhood(
+            (x, y), cands, in_models[pos], out_models[pos],
+            t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)
+    export_diagnostics_csv(path, selected, pools)
+    return selected
+
+
+def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
+                   plan: PoisonPlan, trainer: TrainerPool):
+    """Challenger target models: half-pool splits, balanced membership per
+    challenge point, plus the attacker's poisoned replicas.
+
+    Returns the split plan, each target's training set and the targets."""
+    split = make_split_plan(len(pool), challenges.indices, cfg.num_target_models,
+                            derive_seed(cfg.master_seed, TAG_TARGET_SPLIT))
+    half = cfg.num_target_models // 2
+    for idx in challenges.indices:
+        assert split.inclusion[:, int(idx)].sum() == half, \
+            "challenge membership must be balanced across target models"
+    train_sets = [build_poisoned_training_set(pool.subset(np.flatnonzero(row)),
+                                              plan, challenges)
+                  for row in split.inclusion]
+    seeds = [derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)
+             for j in range(cfg.num_target_models)]
+    return split, train_sets, trainer.many(list(zip(train_sets, seeds)))
+
+
+def _write_model_stats(path: str, targets, train_sets, eval_ds: Dataset) -> dict[str, float]:
+    """Per-target train/eval accuracy to ``path``; returns their means."""
+    train_accs, eval_accs = [], []
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["model_id", "train_accuracy", "eval_accuracy"])
+        for j, (model, train_set) in enumerate(zip(targets, train_sets)):
+            tr = nncore.accuracy(model, train_set)
+            ev = nncore.accuracy(model, eval_ds)
+            train_accs.append(tr)
+            eval_accs.append(ev)
+            writer.writerow([j, repr(tr), repr(ev)])
+    return {"mean_train_accuracy": float(np.mean(train_accs)),
+            "mean_eval_accuracy": float(np.mean(eval_accs))}
+
+
+def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
+           neighborhoods: dict[int, NeighborhoodSet], targets,
+           target_split) -> tuple[list[ScoreRecord], int]:
+    """Label-only scores of every (attack, target, challenge) triple and the
+    number of label queries they took."""
+    records: list[ScoreRecord] = []
+    total_queries = 0
+    for attack in cfg.attacks:
+        for j, model in enumerate(targets):
+            facade = LabelOnlyModel(model)
+            for pos in range(len(challenges)):
+                idx = int(challenges.indices[pos])
+                x = challenges.features[pos]
+                y = int(challenges.labels[pos])
+                truth = bool(target_split.inclusion[j, idx])
+                if attack == CHAMELEON:
+                    records.append(chameleon_score(
+                        facade, (x, y), neighborhoods[pos],
+                        challenge_index=idx, model_id=j, truth=truth))
+                else:
+                    records.append(gap_score(facade, (x, y),
+                                             challenge_index=idx, model_id=j,
+                                             truth=truth))
+            total_queries += facade.query_count
+    return records, total_queries
+
+
+def _write_metrics(cfg: ExperimentConfig, records: list[ScoreRecord], out_dir: str):
+    """Metric report, ROC curve and TPR at the FPR resolution per attack,
+    each written to the run directory."""
+    reports, tpr_at_res = {}, {}
+    for attack in cfg.attacks:
+        s_in, s_out = split_scores(records, attack)
+        report = metrics.compute_report(s_in, s_out)
+        reports[attack] = report
+        curve = metrics.roc_curve(s_in, s_out)
+        tpr_at_res[attack] = metrics.tpr_at_fpr(curve, report.fpr_resolution)
+        metrics.write_roc_csv(os.path.join(out_dir, f"roc_{attack}.csv"), curve)
+        with open(os.path.join(out_dir, f"metrics_{attack}.json"), "w",
+                  encoding="utf-8") as f:
+            f.write(report.to_json())
+            f.write("\n")
+    return reports, tpr_at_res
 
 
 def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
@@ -245,190 +371,59 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
     loop); ``game_strict`` runs the single-point adaptive procedure per
     challenge point instead of the batched one.
     """
+    if game_strict and k_static is not None:
+        raise ConfigError("k_static and game_strict are exclusive")
     os.makedirs(out_dir, exist_ok=True)
     cache = ModelCache(cache_dir if cache_dir is not None
                        else os.path.join(out_dir, "cache"))
     trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
     stage_seconds: dict[str, float] = {}
-    artifacts: dict[str, str] = {}
-    stage = "dataset"
-    t_stage = time.perf_counter()
+    artifacts = {name: os.path.join(out_dir, file) for name, file in ARTIFACTS.items()}
 
-    def finish_stage(next_stage: str):
-        nonlocal stage, t_stage
-        stage_seconds[stage] = time.perf_counter() - t_stage
-        stage = next_stage
-        t_stage = time.perf_counter()
-
-    try:
-        # 1. Attacker pool and held-out evaluation data.
-        pool = _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_DATASET),
-                            cfg.dataset.n_per_class)
-        eval_per_class = max(1, cfg.eval_size // cfg.dataset.num_classes)
-        if cfg.dataset.kind == "csv":
-            eval_ds = pool
-        else:
-            eval_ds = _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_EVAL),
-                                   eval_per_class)
+    with _stage("dataset", stage_seconds):
+        pool, eval_ds = _make_datasets(cfg)
         save_dataset(pool, os.path.join(out_dir, "dataset"))
-        artifacts["dataset"] = os.path.join(out_dir, "dataset.bin")
-        finish_stage("challenges")
-
-        # 2. Challenge points.
+    with _stage("challenges", stage_seconds):
         challenges = _pick_challenges(cfg, pool)
-        with open(os.path.join(out_dir, "challenges.json"), "w", encoding="utf-8") as f:
-            json.dump({
-                "indices": challenges.indices.tolist(),
-                "labels": challenges.labels.tolist(),
-                "poisoned_labels": challenges.poisoned_labels.tolist(),
-            }, f, indent=2, sort_keys=True)
-        artifacts["challenges"] = os.path.join(out_dir, "challenges.json")
-        finish_stage("poison")
-
-        # 3. Poisoning (adaptive, static or strict per-point adaptive).
-        poison_seed = derive_seed(cfg.master_seed, TAG_POISON)
-        strict_in = strict_out = None
-        if game_strict:
-            if k_static is not None:
-                raise ConfigError("k_static and game_strict are exclusive")
-            plan, strict_in, strict_out, logical_models = _strict_poisoning(
-                cfg, pool, challenges, trainer)
-        elif k_static is not None:
-            # Static baseline still needs the poison-free shadow ensemble for
-            # the neighborhood stage; freezing every point at iteration 0
-            # trains exactly the 2m unpoisoned models (shared via the cache
-            # with any adaptive run on the same data).
-            shadow_cfg = PoisonConfig(t_p=1.0, m=cfg.poison.m, k_max=0)
-            shadow_plan = adapt_poison_multi(challenges, pool, shadow_cfg,
-                                             trainer.one, seed=poison_seed,
-                                             batch_trainer=trainer.many)
-            plan = replace_plan_counts(shadow_plan, static_plan(k_static, len(challenges)))
-            logical_models = shadow_plan.models_trained
-        else:
-            plan = adapt_poison_multi(challenges, pool, cfg.poison, trainer.one,
-                                      seed=poison_seed, batch_trainer=trainer.many)
-            logical_models = plan.models_trained
-        model_refs = [f"models/{t.model.cache_key}"
-                      for t in plan.models if hasattr(t.model, "cache_key")]
-        save_poison_plan(plan, challenges, os.path.join(out_dir, "poison_plan.json"),
-                         model_refs=model_refs)
-        artifacts["poison_plan"] = os.path.join(out_dir, "poison_plan.json")
-        finish_stage("neighborhood")
-
-        # 4. Membership neighborhoods from poison-free models.
-        if game_strict:
-            in_models, out_models = strict_in, strict_out
-        else:
-            iter0 = plan.iteration_models(0)
-            in_models, out_models = {}, {}
-            for pos in range(len(challenges)):
-                idx = int(challenges.indices[pos])
-                in_rows = set(plan.split.in_rows(idx).tolist())
-                in_models[pos] = [t.model for t in iter0 if t.subset_row in in_rows]
-                out_models[pos] = [t.model for t in iter0 if t.subset_row not in in_rows]
-        neighborhoods = _build_neighborhoods(cfg, challenges, in_models,
-                                             out_models, out_dir)
-        artifacts["neighborhoods"] = os.path.join(out_dir, "neighborhood_diagnostics.csv")
-        finish_stage("targets")
-
-        # 5. Challenger target models: half-pool splits, balanced membership
-        # per challenge point, plus the attacker's poisoned replicas.
-        target_split = make_split_plan(len(pool), challenges.indices,
-                                       cfg.num_target_models,
-                                       derive_seed(cfg.master_seed, TAG_TARGET_SPLIT))
-        half = cfg.num_target_models // 2
-        for idx in challenges.indices:
-            assert target_split.inclusion[:, int(idx)].sum() == half, \
-                "challenge membership must be balanced across target models"
-        target_jobs = []
-        for j in range(cfg.num_target_models):
-            base = pool.subset(np.flatnonzero(target_split.inclusion[j]))
-            train_j = build_poisoned_training_set(base, plan, challenges)
-            target_jobs.append((train_j, derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)))
-        targets = trainer.many(target_jobs)
-
-        stats_path = os.path.join(out_dir, "model_stats.csv")
-        train_accs, eval_accs = [], []
-        with open(stats_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["model_id", "train_accuracy", "eval_accuracy"])
-            for j, model in enumerate(targets):
-                tr = nncore.accuracy(model, target_jobs[j][0])
-                ev = nncore.accuracy(model, eval_ds)
-                train_accs.append(tr)
-                eval_accs.append(ev)
-                writer.writerow([j, repr(tr), repr(ev)])
-        artifacts["model_stats"] = stats_path
-        finish_stage("scores")
-
-        # 6. Label-only scoring of every (target, challenge) pair.
-        records: list[ScoreRecord] = []
-        total_queries = 0
-        for attack in cfg.attacks:
-            for j, model in enumerate(targets):
-                facade = LabelOnlyModel(model)
-                for pos in range(len(challenges)):
-                    idx = int(challenges.indices[pos])
-                    x = challenges.features[pos]
-                    y = int(challenges.labels[pos])
-                    truth = bool(target_split.inclusion[j, idx])
-                    if attack == CHAMELEON:
-                        records.append(chameleon_score(
-                            facade, (x, y), neighborhoods[pos],
-                            challenge_index=idx, model_id=j, truth=truth))
-                    else:
-                        records.append(gap_score(facade, (x, y),
-                                                 challenge_index=idx, model_id=j,
-                                                 truth=truth))
-                total_queries += facade.query_count
-        write_scores_csv(os.path.join(out_dir, "scores.csv"), records)
-        artifacts["scores"] = os.path.join(out_dir, "scores.csv")
-        finish_stage("metrics")
-
-        # 7. Metrics per attack.
-        reports, tpr_at_res = {}, {}
-        for attack in cfg.attacks:
-            s_in, s_out = split_scores(records, attack)
-            report = metrics.compute_report(s_in, s_out)
-            reports[attack] = report
-            curve = metrics.roc_curve(s_in, s_out)
-            tpr_at_res[attack] = metrics.tpr_at_fpr(curve, report.fpr_resolution)
-            metrics.write_roc_csv(os.path.join(out_dir, f"roc_{attack}.csv"), curve)
-            with open(os.path.join(out_dir, f"metrics_{attack}.json"), "w",
-                      encoding="utf-8") as f:
-                f.write(report.to_json())
-                f.write("\n")
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        _write_metrics_csv(metrics_path, cfg.attacks, reports, tpr_at_res)
-        artifacts["metrics"] = metrics_path
-        finish_stage("manifest")
-
-        cost = account_cost(plan, cfg, stage_seconds, total_queries)
-        cost.shadow_models = logical_models
-        cost.cache_hits, cost.cache_misses = cache.hits, cache.misses
+        _write_challenges(challenges, artifacts["challenges"])
+    with _stage("poison", stage_seconds):
+        plan, shadow_models, in_models, out_models = _poison(
+            cfg, pool, challenges, trainer, k_static, game_strict)
+        # The poison stage is the trainer's first user, so its first keys
+        # are those of the plan's shadow models, in plan order.
+        model_refs = [f"models/{key}" for key in trainer.keys[:plan.models_trained]]
+        save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs=model_refs)
+    with _stage("neighborhood", stage_seconds):
+        neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,
+                                             artifacts["neighborhoods"])
+    with _stage("targets", stage_seconds):
+        target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
+                                                           plan, trainer)
+        model_stats = _write_model_stats(artifacts["model_stats"], targets,
+                                         train_sets, eval_ds)
+    with _stage("scores", stage_seconds):
+        records, total_queries = _score(cfg, challenges, neighborhoods, targets,
+                                        target_split)
+        write_scores_csv(artifacts["scores"], records)
+    with _stage("metrics", stage_seconds):
+        reports, tpr_at_res = _write_metrics(cfg, records, out_dir)
+        _write_metrics_csv(artifacts["metrics"], cfg.attacks, reports, tpr_at_res)
+    with _stage("manifest", {}):  # untimed: its files record the stage times
+        cost = CostReport(
+            shadow_models=shadow_models,
+            target_models=cfg.num_target_models,
+            queries_per_challenge={a: cfg.neighborhood.size + 1 if a == CHAMELEON else 1
+                                   for a in cfg.attacks},
+            total_label_queries=total_queries,
+            stage_seconds=stage_seconds,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses)
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
             json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
-
         _write_manifest(cfg, out_dir, artifacts, stage_seconds)
-        model_stats = {
-            "mean_train_accuracy": float(np.mean(train_accs)),
-            "mean_eval_accuracy": float(np.mean(eval_accs)),
-        }
-        return GameResult(reports=reports, tpr_at_resolution=tpr_at_res,
-                          records=records, replica_counts=plan.replica_counts,
-                          cost=cost, out_dir=out_dir, model_stats=model_stats)
-    except ConfigError:
-        raise
-    except StageError:
-        raise
-    except Exception as exc:  # partial artifacts stay on disk for inspection
-        raise StageError(stage, exc) from exc
-
-
-def replace_plan_counts(plan: PoisonPlan, counts_plan: PoisonPlan) -> PoisonPlan:
-    return PoisonPlan(replica_counts=counts_plan.replica_counts,
-                      iterations_run=plan.iterations_run, models=plan.models,
-                      split=plan.split)
+    return GameResult(reports=reports, tpr_at_resolution=tpr_at_res,
+                      records=records, replica_counts=plan.replica_counts,
+                      cost=cost, out_dir=out_dir, model_stats=model_stats)
 
 
 def run_static_baseline(cfg: ExperimentConfig, k_static: int, out_dir: str,

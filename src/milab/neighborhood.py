@@ -70,10 +70,7 @@ def _logit_matrix(points: np.ndarray, y: int, models, eps: float) -> np.ndarray:
     """Per-model logit confidences on label y, shape [num_models, num_points]."""
     rows = []
     for m in models:
-        if hasattr(m, "predict_proba_batch"):
-            probs = np.asarray(m.predict_proba_batch(points))[:, y]
-        else:
-            probs = np.array([m.predict_proba(p)[y] for p in points])
+        probs = np.asarray(m.predict_proba_batch(points))[:, y]
         rows.append([logit(float(p), eps) for p in probs])
     return np.asarray(rows)
 

@@ -112,14 +112,6 @@ class ModelParams:
         return forward(self.as_float64(), np.asarray(X, dtype=np.float64))
 
 
-@dataclass
-class Prediction:
-    """Predicted label (argmax, lowest index on ties) plus softmax confidences."""
-
-    label: int
-    confidences: np.ndarray
-
-
 def init_params(input_dim: int, hidden_sizes: tuple[int, ...], num_classes: int,
                 seed: int) -> ModelParams:
     """Seeded Glorot-uniform weights, zero biases.
@@ -297,12 +289,6 @@ def train(dataset, config: TrainConfig,
                 grads = _contract_grads(acts, deltas, None)
             layers = _apply_update(layers, grads, 1.0 / len(batch), lr, decay_factor)
     return ModelParams([(w.astype(np.float32), b.astype(np.float32)) for w, b in layers])
-
-
-def predict(model: ModelParams, x: np.ndarray) -> Prediction:
-    """Label-and-confidences prediction for a single feature vector."""
-    probs = model.predict_proba(x)
-    return Prediction(label=int(np.argmax(probs)), confidences=probs)
 
 
 def predict_labels(model: ModelParams, X: np.ndarray) -> np.ndarray:

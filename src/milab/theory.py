@@ -29,8 +29,6 @@ class TheoryParams:
     k: number of poisoned replicas of the challenge point (>= 0).
     m1: membership bit of the challenge point (0 or 1).
     x_prime: target false positive rate as a fraction (x% FPR -> x/100).
-    lam: prior membership probability; accepted for completeness but unused
-        by the closed forms here.
     """
 
     tau: float
@@ -38,7 +36,6 @@ class TheoryParams:
     k: int = 0
     m1: int = 0
     x_prime: float = 0.0
-    lam: float | None = None
 
     def __post_init__(self):
         if not self.tau > 0:

@@ -17,6 +17,8 @@ from milab.poisoner import PoisonConfig
 
 logging.disable(logging.WARNING)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def tiny_config(**overrides) -> hc.ExperimentConfig:
     base = dict(
@@ -65,6 +67,25 @@ class TestConfig:
     def test_paper_scale(self):
         cfg = tiny_config().paper_scale()
         assert (cfg.num_challenge_points, cfg.num_target_models) == (500, 64)
+        assert cfg.dataset.n_per_class == 250  # 4 classes, a 1000-point pool
+
+    def test_paper_scale_flag_loads_the_example_config(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["run", "--config", os.path.join(ROOT, "example_config.json"),
+             "--out", str(tmp_path / "run"), "--paper-scale"])
+        cfg = cli._load_cfg(args)
+        assert (cfg.num_challenge_points, cfg.dataset.n_per_class) == (500, 100)
+        assert tiny_config(dataset=hc.DatasetConfig(num_classes=7)).paper_scale() \
+            .dataset.n_per_class == 143
+
+    def test_more_challenge_points_than_pool_points_rejected(self, tmp_path):
+        with pytest.raises(hc.ConfigError):
+            tiny_config(num_challenge_points=41)  # 4 classes x 10 points
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_challenge_points": 401}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_workers_excluded_from_canonical_form(self):
         a = tiny_config(workers=1)
@@ -74,15 +95,16 @@ class TestConfig:
 
 class TestModelCache:
     def test_cache_returns_identical_model(self, tmp_path):
-        from milab import nncore
         from milab.datagen import gen_gaussian_mixture
 
         ds = gen_gaussian_mixture(3, 6, 10, 2.0, seed=0)
         cache = hcache.ModelCache(str(tmp_path))
-        cfg = TrainConfig(epochs=4, learning_rate=0.1, batch_size=8, seed=7)
-        first = cache.train(ds, cfg, (8,))
-        again = cache.train(ds, cfg, (8,))
-        assert cache.hits == 1 and cache.misses == 1
+        trainer = hr.TrainerPool(TrainConfig(epochs=4, learning_rate=0.1, batch_size=8),
+                                 (8,), cache)
+        first = trainer.one(ds, 7)
+        again, _ = trainer.many([(ds, 7), (ds, 8)])
+        assert cache.hits == 1 and cache.misses == 2
+        assert trainer.keys[0] == trainer.keys[1] != trainer.keys[2]
         assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
                    for a, b in zip(first.layers, again.layers))
 
@@ -97,6 +119,39 @@ class TestModelCache:
         assert cache.model_key(ds, cfg, (9,)) != base
         other = gen_gaussian_mixture(3, 6, 10, 2.0, seed=1)
         assert cache.model_key(other, cfg, (8,)) != base
+
+    def test_every_manifest_carries_its_config_hash(self, tmp_path):
+        cfg = tiny_config(num_challenge_points=2)
+        cache = tmp_path / "cache"
+        hr.run_privacy_game(cfg, str(tmp_path / "adaptive"), cache_dir=str(cache))
+        hr.run_privacy_game(cfg, str(tmp_path / "strict"), cache_dir=str(cache),
+                            game_strict=True)
+        manifests = sorted((cache / "models").glob("*.json"))
+        assert manifests
+        for path in manifests:
+            doc = json.loads(path.read_text())
+            train_cfg = replace(cfg.train, seed=doc["seed"])
+            assert doc["config_hash"] == hcache.digest(hcache.train_config_dict(train_cfg)), \
+                path.name
+
+    def test_damaged_entry_is_retrained(self, tmp_path, caplog):
+        cfg = tiny_config()
+        cache = tmp_path / "cache"
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        blob = sorted((cache / "models").glob("*.bin"))[0]
+        blob.write_bytes(blob.read_bytes()[:100])
+        logging.disable(logging.NOTSET)
+        try:
+            with caplog.at_level(logging.WARNING, logger="milab.harness.cache"):
+                rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
+        finally:
+            logging.disable(logging.WARNING)
+        assert rerun.cost.cache_misses == 1
+        assert blob.stem in caplog.text
+        assert ((tmp_path / "a" / "scores.csv").read_bytes()
+                == (tmp_path / "b" / "scores.csv").read_bytes())
+        third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
+        assert third.cost.cache_misses == 0
 
 
 class TestPrivacyGame:

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from milab import neighborhood as nb
 from milab.datagen import NeighborCandidate
 from milab.nncore import logit
-from conftest import FixedProbaModel, proba_key
+from stubs import FixedProbaModel, proba_key
 
 
 def sigmoid(v):

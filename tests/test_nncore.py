@@ -146,9 +146,9 @@ class TestPredict:
     def test_all_zero_model_is_uniform_with_label_zero(self):
         model = nn.ModelParams([(np.zeros((3, 4), dtype=np.float32),
                                  np.zeros(3, dtype=np.float32))])
-        pred = nn.predict(model, np.array([0.3, -1.0, 2.0, 0.5]))
-        np.testing.assert_allclose(pred.confidences, 1.0 / 3, atol=1e-12)
-        assert pred.label == 0
+        x = np.array([0.3, -1.0, 2.0, 0.5])
+        np.testing.assert_allclose(model.predict_proba(x), 1.0 / 3, atol=1e-12)
+        assert nn.predict_labels(model, x[None, :]).tolist() == [0]
 
     def test_hand_built_model_favors_class_two(self):
         # One linear layer; weights route e_1 strongly to class 2.
@@ -157,11 +157,10 @@ class TestPredict:
         w[1, 0] = 1.0
         model = nn.ModelParams([(w, np.zeros(4, dtype=np.float32))])
         x = np.array([1.0, 0.0, 0.0])
-        pred = nn.predict(model, x)
-        assert pred.label == 2
+        assert nn.predict_labels(model, x[None, :]).tolist() == [2]
         # Hand-computed softmax over logits (0, 1, 5, 0).
         z = np.array([0.0, 1.0, 5.0, 0.0])
-        np.testing.assert_allclose(pred.confidences, np.exp(z) / np.exp(z).sum(),
+        np.testing.assert_allclose(model.predict_proba(x), np.exp(z) / np.exp(z).sum(),
                                    atol=1e-12)
 
     def test_confidences_sum_to_one(self):
@@ -170,14 +169,17 @@ class TestPredict:
                   for a, b in random_layers(gen, [5, 7, 4])]
         model = nn.ModelParams(layers)
         for _ in range(20):
-            pred = nn.predict(model, gen.normal(0, 2, 5))
-            assert abs(pred.confidences.sum() - 1.0) < 1e-9
-            assert pred.label == int(np.argmax(pred.confidences))
+            x = gen.normal(0, 2, 5)
+            probs = model.predict_proba(x)
+            assert abs(probs.sum() - 1.0) < 1e-9
+            assert nn.predict_labels(model, x[None, :]).tolist() == [int(np.argmax(probs))]
 
     def test_dimension_mismatch_raises(self):
         model = nn.init_params(4, (3,), 2, seed=0)
         with pytest.raises(ValueError):
-            nn.predict(model, np.zeros(5))
+            model.predict_proba(np.zeros(5))
+        with pytest.raises(ValueError):
+            nn.predict_labels(model, np.zeros((2, 5)))
 
 
 class TestLogit:

@@ -66,11 +66,6 @@ class TestProbCorrect:
     def test_huge_exponent_underflows_gracefully(self):
         assert th.prob_correct(th.TheoryParams(0.01, 10, k=10_000, m1=0)) == 0.0
 
-    def test_lambda_is_accepted_but_inert(self):
-        a = th.prob_correct(th.TheoryParams(0.5, 10, 1, 0, lam=0.25))
-        b = th.prob_correct(th.TheoryParams(0.5, 10, 1, 0))
-        assert a == b
-
 
 class TestOptimalTpr:
     def test_full_fpr_budget_gives_one_exactly(self):
