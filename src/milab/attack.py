@@ -9,6 +9,7 @@ is label-only by construction.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,6 @@ class LabelOnlyModel:
     def __init__(self, model):
         self._model = model
         self.query_count = 0
-
-    def predict_label(self, x: np.ndarray) -> int:
-        return int(self.predict_label_batch(np.atleast_2d(x))[0])
 
     def predict_label_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -58,36 +56,38 @@ class ScoreRecord:
             raise ValueError("score must be in [0, 1]")
 
 
-def misclassification_score(target, challenge: tuple[np.ndarray, int],
-                            neighborhood: NeighborhoodSet) -> float:
-    """Fraction of the point and its n neighbors the target mislabels.
+def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]],
+                            neighborhoods: Sequence[NeighborhoodSet]) -> list[float]:
+    """Per challenge point, the fraction of the point and its n neighbors the
+    target mislabels.
 
-    Issues exactly n+1 label queries.
+    Issues one label query batch holding n+1 rows per point.
     """
-    x, y = challenge
-    queries = [np.asarray(x, dtype=np.float64)]
-    queries.extend(m.x_c for m in neighborhood.members)
-    labels = target.predict_label_batch(np.stack(queries))
-    return float(np.mean(labels != y))
+    queries, expected, bounds = [], [], [0]
+    for (x, y), neighborhood in zip(challenges, neighborhoods, strict=True):
+        queries.append(np.asarray(x, dtype=np.float64)[None, :])
+        if neighborhood.members:
+            queries.append(neighborhood.features)
+        rows = len(neighborhood.members) + 1
+        expected.extend([y] * rows)
+        bounds.append(bounds[-1] + rows)
+    wrong = target.predict_label_batch(np.concatenate(queries)) != np.asarray(expected)
+    return [float(np.mean(wrong[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
-def chameleon_score(target, challenge: tuple[np.ndarray, int],
-                    neighborhood: NeighborhoodSet, *, challenge_index: int = -1,
-                    model_id: int = -1, truth: bool = False) -> ScoreRecord:
-    """Membership score 1 - misclassification fraction over the neighborhood."""
-    frac = misclassification_score(target, challenge, neighborhood)
-    return ScoreRecord(challenge_index=challenge_index, target_model_id=model_id,
-                       score=1.0 - frac, truth=truth, attack_name=CHAMELEON)
+def chameleon_score(target, challenges: Sequence[tuple[np.ndarray, int]],
+                    neighborhoods: Sequence[NeighborhoodSet]) -> list[float]:
+    """Membership score 1 - misclassification fraction over each point's
+    neighborhood, from one label query batch."""
+    return [1.0 - frac for frac in misclassification_score(target, challenges, neighborhoods)]
 
 
-def gap_score(target, challenge: tuple[np.ndarray, int], *,
-              challenge_index: int = -1, model_id: int = -1,
-              truth: bool = False) -> ScoreRecord:
-    """Baseline: member iff the target labels the point correctly (one query)."""
-    x, y = challenge
-    score = 1.0 if target.predict_label(x) == y else 0.0
-    return ScoreRecord(challenge_index=challenge_index, target_model_id=model_id,
-                       score=score, truth=truth, attack_name=GAP)
+def gap_score(target, challenges: Sequence[tuple[np.ndarray, int]]) -> list[float]:
+    """Baseline: member iff the target labels the point correctly; one label
+    query batch with one row per point."""
+    labels = target.predict_label_batch(
+        np.stack([np.asarray(x, dtype=np.float64) for x, _ in challenges]))
+    return [1.0 if label == y else 0.0 for label, (_, y) in zip(labels.tolist(), challenges)]
 
 
 def write_scores_csv(path: str, records: list[ScoreRecord]) -> None:

@@ -164,9 +164,9 @@ def gen_neighbors(x: np.ndarray, y: int, modality: str, count: int,
         else:
             flips = gen.random((todo, x.size)) < noise_scale
             cands = np.abs(x - flips.astype(np.float64))
-        for row in cands:
-            if len(out) < count and not np.array_equal(row, x):
-                out.append(NeighborCandidate(row, int(y)))
+        # At most ``todo`` rows are drawn, so every row unequal to x fits.
+        out.extend(NeighborCandidate(row, int(y))
+                   for row in cands[~(cands == x).all(axis=1)])
     return out
 
 

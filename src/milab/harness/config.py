@@ -36,6 +36,9 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv datasets need csv_path")
+        if self.kind == "gaussian" and self.dim < self.num_classes:
+            raise ConfigError("gaussian datasets put one class mean per axis, "
+                              "so dim must be >= num_classes")
 
     @property
     def modality(self) -> str:

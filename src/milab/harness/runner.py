@@ -271,8 +271,10 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
         y = int(challenges.labels[pos])
         cands = gen_neighbors(x, y, modality, cfg.neighborhood.pool_size, noise,
                               derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
-        for c in cands:
-            c.x_c = c.x_c.astype(np.float32).astype(np.float64)
+        # Round to float32 like the pool's features, in one cast per pool.
+        quantized = np.stack([c.x_c for c in cands]).astype(np.float32).astype(np.float64)
+        for c, row in zip(cands, quantized):
+            c.x_c = row
         pools[pos] = cands
         selected[pos] = select_neighborhood(
             (x, y), cands, in_models[pos], out_models[pos],
@@ -317,29 +319,53 @@ def _write_model_stats(path: str, targets, train_sets, eval_ds: Dataset) -> dict
             "mean_eval_accuracy": float(np.mean(eval_accs))}
 
 
+def _query_groups(rows: list[int], cap: int) -> list[list[int]]:
+    """Consecutive point positions grouped so that no group holds more than
+    ``cap`` query rows; a point is never split (one larger than ``cap`` is a
+    group of its own)."""
+    groups: list[list[int]] = []
+    used = 0
+    for pos, n in enumerate(rows):
+        if not groups or used + n > cap:
+            groups.append([])
+            used = 0
+        groups[-1].append(pos)
+        used += n
+    return groups
+
+
 def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
            neighborhoods: dict[int, NeighborhoodSet], targets,
            target_split) -> tuple[list[ScoreRecord], int]:
     """Label-only scores of every (attack, target, challenge) triple and the
-    number of label queries they took."""
+    number of label queries they took.
+
+    Each target answers one label query batch per group of whole points. A
+    group holds at most ``pool_size + 1`` rows, the batch size the
+    neighborhood stage already runs, so batching adds no peak memory."""
+    points = [(challenges.features[pos], int(challenges.labels[pos]))
+              for pos in range(len(challenges))]
+    nbhoods = [neighborhoods[pos] for pos in range(len(challenges))]
+    cap = cfg.neighborhood.pool_size + 1
     records: list[ScoreRecord] = []
     total_queries = 0
     for attack in cfg.attacks:
+        rows = [len(nb.members) + 1 if attack == CHAMELEON else 1 for nb in nbhoods]
+        groups = _query_groups(rows, cap)
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
-            for pos in range(len(challenges)):
-                idx = int(challenges.indices[pos])
-                x = challenges.features[pos]
-                y = int(challenges.labels[pos])
-                truth = bool(target_split.inclusion[j, idx])
+            scores: list[float] = []
+            for group in groups:
+                group_points = [points[pos] for pos in group]
                 if attack == CHAMELEON:
-                    records.append(chameleon_score(
-                        facade, (x, y), neighborhoods[pos],
-                        challenge_index=idx, model_id=j, truth=truth))
+                    scores += chameleon_score(facade, group_points,
+                                              [nbhoods[pos] for pos in group])
                 else:
-                    records.append(gap_score(facade, (x, y),
-                                             challenge_index=idx, model_id=j,
-                                             truth=truth))
+                    scores += gap_score(facade, group_points)
+            for idx, score in zip(challenges.indices.tolist(), scores):
+                records.append(ScoreRecord(
+                    challenge_index=idx, target_model_id=j, score=score,
+                    truth=bool(target_split.inclusion[j, idx]), attack_name=attack))
             total_queries += facade.query_count
     return records, total_queries
 

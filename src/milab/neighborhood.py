@@ -15,6 +15,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,24 +60,28 @@ class NeighborhoodSet:
     fallback_filled: bool
     diagnostics: list[CandidateDiagnostics]
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
+        """The members' features as one [n, dim] matrix, stacked once."""
         if not self.members:
             return np.empty((0, 0))
         return np.stack([m.x_c for m in self.members])
 
 
 def _logit_matrix(points: np.ndarray, y: int, models, eps: float) -> np.ndarray:
-    """Per-model logit confidences on label y, shape [num_models, num_points]."""
-    rows = []
-    for m in models:
-        probs = np.asarray(m.predict_proba_batch(points))[:, y]
-        rows.append([logit(float(p), eps) for p in probs])
-    return np.asarray(rows)
+    """Per-model logit confidences on label y, shape [num_points, num_models]."""
+    probs = np.stack([np.asarray(m.predict_proba_batch(points))[:, y] for m in models],
+                     axis=1)
+    return logit(probs, eps)
 
 
-def _moments(column: np.ndarray) -> tuple[float, float]:
-    return float(column.mean()), max(float(column.var()), VAR_FLOOR)
+def _moments(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored population variance over the models (last) axis.
+
+    Reducing along the contiguous last axis sums each point's logits in the
+    same order as reducing that point's column alone; ``axis=0`` would not.
+    """
+    return logits.mean(axis=-1), np.maximum(logits.var(axis=-1), VAR_FLOOR)
 
 
 def fit_logit_stats(x: np.ndarray, y: int, in_models, out_models,
@@ -85,18 +90,35 @@ def fit_logit_stats(x: np.ndarray, y: int, in_models, out_models,
     if len(in_models) < 2 or len(out_models) < 2:
         raise ValueError("need at least 2 models on each side")
     point = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mu_in, var_in = _moments(_logit_matrix(point, y, in_models, eps)[:, 0])
-    mu_out, var_out = _moments(_logit_matrix(point, y, out_models, eps)[:, 0])
-    return LogitStats(mu_in, var_in, mu_out, var_out)
+    mu_in, var_in = _moments(_logit_matrix(point, y, in_models, eps)[0])
+    mu_out, var_out = _moments(_logit_matrix(point, y, out_models, eps)[0])
+    return LogitStats(float(mu_in), float(var_in), float(mu_out), float(var_out))
 
 
-def kl_gaussian(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """KL(N(mu_a, var_a) || N(mu_b, var_b)), closed form."""
-    mu_a, var_a = a
+def kl_gaussian(a, b) -> float | np.ndarray:
+    """KL(N(mu_a, var_a) || N(mu_b, var_b)), closed form.
+
+    ``mu_a`` and ``var_a`` may be arrays of one shape, giving one divergence
+    per element against the same ``b``; scalars give a float. The log and
+    the square run on Python floats (``math.log``, ``** 2``), because numpy's
+    ``np.log`` and ``d ** 2`` (which is ``d * d``) can differ from them in the
+    last bit.
+    """
+    mu_a, var_a = (np.asarray(v, dtype=np.float64) for v in a)
     mu_b, var_b = b
-    if var_a <= 0 or var_b <= 0:
+    if np.any(var_a <= 0) or var_b <= 0:
         raise ValueError("variances must be positive")
-    return 0.5 * math.log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
+    log_ratio = list(map(math.log, np.ravel(var_b / var_a).tolist()))
+    square = [d ** 2 for d in np.ravel(mu_a - mu_b).tolist()]
+    kl = (0.5 * np.reshape(log_ratio, var_a.shape)
+          + (var_a + np.reshape(square, mu_a.shape)) / (2.0 * var_b) - 0.5)
+    return float(kl) if kl.ndim == 0 else kl
+
+
+def _kl_to_challenge(logits: np.ndarray) -> np.ndarray:
+    """KL of each candidate's fit (rows 1..) against the challenge's (row 0)."""
+    mu, var = _moments(logits)
+    return kl_gaussian((mu[1:], var[1:]), (float(mu[0]), float(var[0])))
 
 
 def select_neighborhood(challenge: tuple[np.ndarray, int],
@@ -108,7 +130,8 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
     A candidate passes when KL(candidate_IN || challenge_IN) <= t_nb and
     KL(candidate_OUT || challenge_OUT) <= t_nb.  If more than n pass, the n
     with smallest max(kl_in, kl_out) are kept; if fewer, the closest failing
-    candidates fill the remainder and the set is flagged.
+    candidates fill the remainder and the set is flagged.  Ties in
+    max(kl_in, kl_out) go to the lower candidate index.
     """
     if not candidates:
         raise ValueError("empty candidate pool")
@@ -121,37 +144,27 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
     # One batched pass per model over [challenge, candidates...].
     points = np.vstack([np.asarray(x, dtype=np.float64)[None, :],
                         np.stack([c.x_c for c in candidates])])
-    logits_in = _logit_matrix(points, y, in_models, eps)
-    logits_out = _logit_matrix(points, y, out_models, eps)
-    ref_in = _moments(logits_in[:, 0])
-    ref_out = _moments(logits_out[:, 0])
+    kl_in = _kl_to_challenge(_logit_matrix(points, y, in_models, eps))
+    kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models, eps))
+    passed = (kl_in <= t_nb) & (kl_out <= t_nb)
 
-    scored = []
-    for idx, cand in enumerate(candidates):
-        kl_in = kl_gaussian(_moments(logits_in[:, idx + 1]), ref_in)
-        kl_out = kl_gaussian(_moments(logits_out[:, idx + 1]), ref_out)
-        passed = kl_in <= t_nb and kl_out <= t_nb
-        scored.append((max(kl_in, kl_out), idx, cand, kl_in, kl_out, passed))
+    # Passing candidates by (max KL, index), then failing ones the same way.
+    order = np.lexsort((np.arange(len(candidates)), np.maximum(kl_in, kl_out)))
+    ranked = np.concatenate([order[passed[order]], order[~passed[order]]])
+    chosen = ranked[:n].tolist()
+    selected = np.zeros(len(candidates), dtype=bool)
+    selected[chosen] = True
 
-    passing = sorted(s for s in scored if s[5])
-    failing = sorted(s for s in scored if not s[5])
-    if len(passing) >= n:
-        chosen = passing[:n]
-        fallback = False
-    else:
-        chosen = passing + failing[:n - len(passing)]
-        fallback = len(chosen) > len(passing)
-
-    chosen_ids = {s[1] for s in chosen}
+    kl_in, kl_out = kl_in.tolist(), kl_out.tolist()
     diagnostics = [
-        CandidateDiagnostics(idx, kl_in, kl_out, passed, idx in chosen_ids)
-        for _, idx, _, kl_in, kl_out, passed in sorted(scored, key=lambda s: s[1])
+        CandidateDiagnostics(idx, *fields)
+        for idx, fields in enumerate(zip(kl_in, kl_out, passed.tolist(), selected.tolist()))
     ]
     return NeighborhoodSet(
-        members=[s[2] for s in chosen],
+        members=[candidates[i] for i in chosen],
         threshold_used=t_nb,
-        member_kls=[(s[3], s[4]) for s in chosen],
-        fallback_filled=fallback,
+        member_kls=[(kl_in[i], kl_out[i]) for i in chosen],
+        fallback_filled=len(chosen) > int(passed.sum()),
         diagnostics=diagnostics,
     )
 

@@ -14,6 +14,7 @@ plain SGD step exactly (same contractions, same rounding).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -134,14 +135,20 @@ def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != layers[0][0].shape[1]:
         raise ValueError(
             f"input dim {X.shape[1]} does not match model dim {layers[0][0].shape[1]}")
+    # Same operations as the training pass, done in place on each layer's
+    # own output buffer.
     h = X
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
     w, b = layers[-1]
-    z = h @ w.T + b
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z = h @ w.T
+    z += b
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
@@ -300,23 +307,41 @@ def accuracy(model: ModelParams, dataset) -> float:
     return float(np.mean(predict_labels(model, dataset.features) == dataset.labels))
 
 
-def logit(p: float, eps: float = LOGIT_EPS) -> float:
-    """Scaled confidence ln(p/(1-p)) with p clamped to [eps, 1-eps]."""
+def logit(p, eps: float = LOGIT_EPS):
+    """Scaled confidence ln(p/(1-p)) with p clamped to [eps, 1-eps].
+
+    Elementwise on an array (same shape back); a float for a scalar. The log
+    is ``math.log`` on each element, because numpy's ``np.log`` can differ
+    from it in the last bit.
+    """
     if not 0 < eps < 0.5:
         raise ValueError("eps must be in (0, 0.5)")
-    p = min(max(p, eps), 1.0 - eps)
-    return math.log(p / (1.0 - p))
+    q = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+    ratio = q / (1.0 - q)
+    out = np.fromiter(map(math.log, ratio.ravel().tolist()), dtype=np.float64,
+                      count=ratio.size).reshape(ratio.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 MODEL_FORMAT = "milab-model-v1"
 
 
+def _replace_file(path: str, data: bytes) -> None:
+    """Write ``path`` through a temporary file and ``os.replace``, so a reader
+    sees the old file or the new one, never a partial write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
 def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
                config_hash: str = "") -> None:
-    """Write ``stem.json`` (manifest) and ``stem.bin`` (parameters).
+    """Write ``stem.bin`` (parameters) and then ``stem.json`` (manifest).
 
     The binary holds, per layer in order, the weight matrix (row-major) then
-    the bias vector, as little-endian float32.  Save/load round-trips are
+    the bias vector, as little-endian float32.  The manifest records the
+    binary's sha256, which ``load_model`` checks.  Save/load round-trips are
     bit-exact because parameters are stored as float32 in memory too.
     """
     blob = b"".join(
@@ -330,19 +355,29 @@ def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
         "seed": seed,
         "config_hash": config_hash,
         "num_bytes": len(blob),
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
-    with open(stem + ".json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    with open(stem + ".bin", "wb") as f:
-        f.write(blob)
+    # Blob first: a manifest never names a blob that is not in place yet.
+    _replace_file(stem + ".bin", blob)
+    _replace_file(stem + ".json",
+                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
 def load_model(stem: str) -> tuple[ModelParams, dict]:
+    """The model saved under ``stem`` and its manifest.
+
+    Raises ValueError when the manifest is not a model manifest, or the
+    binary does not match the manifest's sha256 (a manifest without one
+    never matches) or its dims."""
     with open(stem + ".json", "r", encoding="utf-8") as f:
         manifest = json.load(f)
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError(f"unexpected model format in {stem}.json")
-    raw = np.fromfile(stem + ".bin", dtype="<f4")
+    with open(stem + ".bin", "rb") as f:
+        blob = f.read()
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
+    raw = np.frombuffer(blob, dtype="<f4").copy()
     dims = manifest["dims"]
     layers, pos = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -47,23 +47,49 @@ class TestMisclassificationScore:
                  for i, q in enumerate([self.x] + self.neighbors)}
         return atk.LabelOnlyModel(LabelTableModel(table))
 
+    def score(self, target, nbhood=None):
+        [frac] = atk.misclassification_score(target, [(self.x, self.y)],
+                                             [nbhood or self.nbhood])
+        return frac
+
     def test_all_correct_scores_zero(self):
         target = self.facade(correct_on={0, 1, 2, 3, 4})
-        assert atk.misclassification_score(target, (self.x, self.y), self.nbhood) == 0.0
+        assert self.score(target) == 0.0
 
     def test_all_wrong_scores_one(self):
         target = self.facade(correct_on=set())
-        assert atk.misclassification_score(target, (self.x, self.y), self.nbhood) == 1.0
+        assert self.score(target) == 1.0
 
     def test_fraction_counts_point_and_neighbors(self):
         target = self.facade(correct_on={0, 2})  # 3 of 5 queries mismatch
-        got = atk.misclassification_score(target, (self.x, self.y), self.nbhood)
-        assert got == pytest.approx(3 / 5)
+        assert self.score(target) == pytest.approx(3 / 5)
 
     def test_query_count_is_n_plus_one(self):
         target = self.facade(correct_on={0})
-        atk.misclassification_score(target, (self.x, self.y), self.nbhood)
+        self.score(target)
         assert target.query_count == len(self.neighbors) + 1
+
+    def test_batch_equals_points_one_at_a_time(self):
+        # Two points of one label (the first one's neighbors) in one batch.
+        other_x = np.array([-1.0, -1.0])
+        other = make_neighborhood([np.array([-2.0, -1.0])], self.y)
+        table = {key(self.x): self.y, key(self.neighbors[1]): self.y, key(other_x): 3}
+        batches = []
+
+        class CountingModel(LabelTableModel):
+            def predict_proba_batch(self, X):
+                batches.append(len(X))
+                return super().predict_proba_batch(X)
+
+        points = [(self.x, self.y), (other_x, self.y)]
+        nbhoods = [self.nbhood, other]
+        target = atk.LabelOnlyModel(CountingModel(table))
+        got = atk.misclassification_score(target, points, nbhoods)
+        assert batches == [target.query_count] == [len(self.neighbors) + 1 + 2]
+        alone = [atk.misclassification_score(atk.LabelOnlyModel(LabelTableModel(table)),
+                                             [p], [nb])[0]
+                 for p, nb in zip(points, nbhoods)]
+        assert got == alone == [3 / 5, 1.0]
 
     def test_sixteen_of_sixtyfive(self):
         neighbors = [np.array([float(i), 1.0]) for i in range(64)]
@@ -72,16 +98,12 @@ class TestMisclassificationScore:
         table = {key(q): (3 if i in wrong else self.y)
                  for i, q in enumerate([self.x] + neighbors)}
         target = atk.LabelOnlyModel(LabelTableModel(table))
-        got = atk.misclassification_score(target, (self.x, self.y), nbhood)
-        assert got == pytest.approx(16 / 65)
+        assert self.score(target, nbhood) == pytest.approx(16 / 65)
 
     def test_invariant_to_neighbor_order(self):
-        target = self.facade(correct_on={0, 1, 4})
-        base = atk.misclassification_score(target, (self.x, self.y), self.nbhood)
+        base = self.score(self.facade(correct_on={0, 1, 4}))
         shuffled = make_neighborhood([self.neighbors[i] for i in (2, 0, 3, 1)], self.y)
-        got = atk.misclassification_score(self.facade(correct_on={0, 1, 4}),
-                                          (self.x, self.y), shuffled)
-        assert got == base
+        assert self.score(self.facade(correct_on={0, 1, 4}), shuffled) == base
 
 
 class TestChameleonScore:
@@ -89,28 +111,24 @@ class TestChameleonScore:
         x, y = np.array([1.0, 2.0]), 2
         nbhood = make_neighborhood([np.array([1.5, 2.0])], y)
         target = atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1))
-        record = atk.chameleon_score(target, (x, y), nbhood,
-                                     challenge_index=7, model_id=3, truth=True)
-        frac = atk.misclassification_score(
-            atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1)), (x, y), nbhood)
-        assert record.score + frac == 1.0
-        assert record.attack_name == atk.CHAMELEON
-        assert (record.challenge_index, record.target_model_id, record.truth) == (7, 3, True)
+        [score] = atk.chameleon_score(target, [(x, y)], [nbhood])
+        [frac] = atk.misclassification_score(
+            atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1)), [(x, y)], [nbhood])
+        assert score + frac == 1.0 and frac == 0.5
 
     def test_extreme_conventions(self):
         x, y = np.array([0.0]), 1
         nbhood = make_neighborhood([np.array([2.0])], y)
         always_right = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        assert atk.chameleon_score(always_right, (x, y), nbhood).score == 1.0
+        assert atk.chameleon_score(always_right, [(x, y)], [nbhood]) == [1.0]
         always_wrong = atk.LabelOnlyModel(LabelTableModel({}, default=0))
-        assert atk.chameleon_score(always_wrong, (x, y), nbhood).score == 0.0
+        assert atk.chameleon_score(always_wrong, [(x, y)], [nbhood]) == [0.0]
 
     def test_empty_neighborhood_uses_single_query(self):
         x, y = np.array([0.0]), 1
         nbhood = make_neighborhood([], y)
         target = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        record = atk.chameleon_score(target, (x, y), nbhood)
-        assert record.score == 1.0
+        assert atk.chameleon_score(target, [(x, y)], [nbhood]) == [1.0]
         assert target.query_count == 1
 
 
@@ -118,15 +136,13 @@ class TestGapScore:
     def test_correct_prediction_is_member(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 2}))
-        record = atk.gap_score(target, (x, y))
-        assert record.score == 1.0
-        assert record.attack_name == atk.GAP
+        assert atk.gap_score(target, [(x, y)]) == [1.0]
         assert target.query_count == 1
 
     def test_wrong_prediction_is_nonmember(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 0}))
-        assert atk.gap_score(target, (x, y)).score == 0.0
+        assert atk.gap_score(target, [(x, y)]) == [0.0]
 
     def test_separates_members_on_overfit_model(self):
         # A memorising model labels its training points correctly and fresh
@@ -136,11 +152,12 @@ class TestGapScore:
         model = nn.train(train, nn.TrainConfig(epochs=150, learning_rate=0.1,
                                                batch_size=8, seed=0), (64,))
         target = atk.LabelOnlyModel(model)
-        score_in = np.mean([atk.gap_score(target, (x, int(y))).score
-                            for x, y in zip(train.features, train.labels)])
-        score_out = np.mean([atk.gap_score(target, (x, int(y))).score
-                             for x, y in zip(fresh.features, fresh.labels)])
+        score_in = np.mean(atk.gap_score(target, list(zip(train.features,
+                                                          train.labels.tolist()))))
+        score_out = np.mean(atk.gap_score(target, list(zip(fresh.features,
+                                                           fresh.labels.tolist()))))
         assert score_in > score_out
+        assert target.query_count == len(train) + len(fresh)
 
 
 class TestLabelOnlySeam:
@@ -151,24 +168,16 @@ class TestLabelOnlySeam:
         assert not hasattr(target, "predict_proba_batch")
 
     def test_attacks_need_only_label_queries(self):
-        # Any object with the two label methods works: the attacks never
+        # Any object with a batched label method works: the attacks never
         # touch confidences.
         class LabelsOnly:
-            def __init__(self):
-                self.query_count = 0
-
-            def predict_label(self, x):
-                self.query_count += 1
-                return 0
-
             def predict_label_batch(self, X):
-                self.query_count += len(X)
                 return np.zeros(len(X), dtype=int)
 
         x, y = np.array([1.0, 1.0]), 0
         nbhood = make_neighborhood([np.array([1.0, 2.0])], y)
-        assert atk.chameleon_score(LabelsOnly(), (x, y), nbhood).score == 1.0
-        assert atk.gap_score(LabelsOnly(), (x, y)).score == 1.0
+        assert atk.chameleon_score(LabelsOnly(), [(x, y)], [nbhood]) == [1.0]
+        assert atk.gap_score(LabelsOnly(), [(x, y)]) == [1.0]
 
 
 class TestScoreRecords:

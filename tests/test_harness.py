@@ -87,6 +87,16 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_gaussian_dim_below_class_count_rejected(self, tmp_path):
+        with pytest.raises(hc.ConfigError):
+            tiny_config(dataset=hc.DatasetConfig(num_classes=4, dim=3))
+        hc.DatasetConfig(kind="binary", num_classes=4, dim=3)  # no axis layout
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": {"num_classes": 10, "dim": 8}}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_workers_excluded_from_canonical_form(self):
         a = tiny_config(workers=1)
         b = tiny_config(workers=4)
@@ -152,6 +162,43 @@ class TestModelCache:
                 == (tmp_path / "b" / "scores.csv").read_bytes())
         third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
         assert third.cost.cache_misses == 0
+
+
+    def test_same_size_damage_is_retrained(self, tmp_path, caplog):
+        # Negating every float keeps each blob's size, so only the checksum
+        # in the manifest can tell.
+        cfg = tiny_config()
+        cache = tmp_path / "cache"
+        first = hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        blobs = sorted((cache / "models").glob("*.bin"))
+        for blob in blobs:
+            (-np.fromfile(blob, dtype="<f4")).tofile(blob)
+        logging.disable(logging.NOTSET)
+        try:
+            with caplog.at_level(logging.WARNING, logger="milab.harness.cache"):
+                rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
+        finally:
+            logging.disable(logging.WARNING)
+        assert first.cost.cache_hits == 0
+        assert (rerun.cost.cache_hits, rerun.cost.cache_misses) == (0, first.cost.cache_misses)
+        assert all(blob.stem in caplog.text for blob in blobs)
+        assert ((tmp_path / "a" / "scores.csv").read_bytes()
+                == (tmp_path / "b" / "scores.csv").read_bytes())
+        third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
+        assert third.cost.cache_misses == 0
+
+    def test_manifest_without_checksum_is_retrained(self, tmp_path):
+        cfg = tiny_config(num_challenge_points=2)
+        cache = tmp_path / "cache"
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        manifest = sorted((cache / "models").glob("*.json"))[0]
+        doc = json.loads(manifest.read_text())
+        assert len(doc.pop("sha256")) == 64
+        manifest.write_text(json.dumps(doc))
+        rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
+        assert rerun.cost.cache_misses == 1
+        assert "sha256" in json.loads(manifest.read_text())
+        assert not list((cache / "models").glob("*.tmp"))
 
 
 class TestPrivacyGame:

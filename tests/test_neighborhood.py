@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from milab import neighborhood as nb
 from milab.datagen import NeighborCandidate
-from milab.nncore import logit
+from milab.nncore import LOGIT_EPS, logit
 from stubs import FixedProbaModel, proba_key
 
 
@@ -121,6 +121,56 @@ class TestKlGaussian:
         assert ab != pytest.approx(ba, abs=1e-9)
 
 
+def scalar_logit(p, eps=LOGIT_EPS):
+    """The per-element logit the array version must reproduce."""
+    p = min(max(p, eps), 1.0 - eps)
+    return math.log(p / (1.0 - p))
+
+
+def scalar_kl(a, b):
+    """The closed-form KL on Python floats, as a per-candidate loop computes it."""
+    (mu_a, var_a), (mu_b, var_b) = a, b
+    return 0.5 * math.log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestVectorKernels:
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           st.sampled_from([LOGIT_EPS, 1e-3, 0.25]))
+    @settings(max_examples=200, deadline=None)
+    def test_array_logit_matches_scalar_bit_for_bit(self, probs, eps):
+        # Both clamps, and values just inside them, are always included.
+        probs = probs + [0.0, 1.0, eps, 1.0 - eps, eps / 2, 1.0 - eps / 2]
+        got = logit(np.array(probs)[:, None], eps)
+        assert got.shape == (len(probs), 1)
+        assert bits(np.ravel(got)) == bits([scalar_logit(p, eps) for p in probs])
+        assert bits([logit(p, eps) for p in probs]) == bits(np.ravel(got))
+
+    def test_array_kl_matches_scalar_bit_for_bit(self):
+        gen = np.random.default_rng(7)
+        mu_a, var_a = gen.normal(0, 3, 500), gen.uniform(1e-6, 5, 500)
+        ref = (float(gen.normal()), float(gen.uniform(1e-6, 5)))
+        got = nb.kl_gaussian((mu_a, var_a), ref)
+        assert got.shape == (500,)
+        assert bits(got) == bits([scalar_kl((m, v), ref)
+                                  for m, v in zip(mu_a.tolist(), var_a.tolist())])
+
+    def test_array_kl_squares_like_python(self):
+        # For this difference numpy's d * d and Python's d ** 2 (libm pow)
+        # round apart, and the gap survives into the divergence.
+        d = 2.1548639179439935
+        assert d * d != d ** 2
+        a, ref = (d, 1.0), (0.0, 1.0)
+        numpy_square = 0.5 * math.log(1.0) + (1.0 + np.square(d)) / 2.0 - 0.5
+        assert scalar_kl(a, ref) != numpy_square
+        got = nb.kl_gaussian((np.array([d]), np.array([1.0])), ref)
+        assert bits(got) == bits([scalar_kl(a, ref)])
+        assert nb.kl_gaussian(a, ref) == scalar_kl(a, ref)
+
+
 def build_selection_setup(offsets_in, offsets_out, num_models=4):
     """Challenge at conf 0.5 everywhere; candidate j's logit is shifted by
     offsets_in[j] on IN models and offsets_out[j] on OUT models."""
@@ -194,6 +244,18 @@ class TestSelectNeighborhood:
         shuffled = nb.select_neighborhood(challenge, perm, mi, mo, t_nb=1.0, n=3)
         assert ({tuple(m.x_c) for m in base.members}
                 == {tuple(m.x_c) for m in shuffled.members})
+
+    def test_equal_max_kl_ordered_by_index(self):
+        # Candidates 1 and 3 tie on both divergences; 0 and 2 tie further out.
+        offsets = [0.6, 0.2, 0.6, 0.2]
+        challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
+        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=10.0, n=3)
+        kls = [(d.kl_in, d.kl_out) for d in result.diagnostics]
+        assert kls[1] == kls[3] and kls[0] == kls[2] and kls[1] < kls[0]
+        picked = [int(m.x_c[0]) for m in result.members]
+        assert picked == [1, 3, 0]
+        assert result.member_kls == [kls[1], kls[3], kls[0]]
+        assert [d.selected for d in result.diagnostics] == [True, True, False, True]
 
     def test_empty_pool_rejected(self):
         challenge, _, mi, mo = build_selection_setup([0.0], [0.0])
