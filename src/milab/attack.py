@@ -65,9 +65,7 @@ def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]]
     """
     queries, expected, bounds = [], [], [0]
     for (x, y), neighborhood in zip(challenges, neighborhoods, strict=True):
-        queries.append(np.asarray(x, dtype=np.float64)[None, :])
-        if neighborhood.members:
-            queries.append(neighborhood.features)
+        queries += [np.asarray(x, dtype=np.float64)[None, :], neighborhood.features]
         rows = len(neighborhood.members) + 1
         expected.extend([y] * rows)
         bounds.append(bounds[-1] + rows)

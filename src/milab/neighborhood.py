@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +50,8 @@ class NeighborhoodSet:
     ``members`` holds at most the configured size; ``member_kls`` aligns with
     it as (kl_in, kl_out) pairs.  When fewer candidates pass the threshold
     than requested, the set is topped up with the closest failing candidates
-    and flagged ``fallback_filled``.
+    and flagged ``fallback_filled``.  ``features`` holds the members'
+    features as one [n, dim] matrix; each member's ``x_c`` is a row of it.
     """
 
     members: list[NeighborCandidate]
@@ -59,13 +59,7 @@ class NeighborhoodSet:
     member_kls: list[tuple[float, float]]
     fallback_filled: bool
     diagnostics: list[CandidateDiagnostics]
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """The members' features as one [n, dim] matrix, stacked once."""
-        if not self.members:
-            return np.empty((0, 0))
-        return np.stack([m.x_c for m in self.members])
+    features: np.ndarray = field(compare=False, repr=False)
 
 
 def _logit_matrix(points: np.ndarray, y: int, models, eps: float) -> np.ndarray:
@@ -160,12 +154,16 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
         CandidateDiagnostics(idx, *fields)
         for idx, fields in enumerate(zip(kl_in, kl_out, passed.tolist(), selected.tolist()))
     ]
+    # The members are rows of one matrix, so scoring needs no restacking and
+    # the set keeps no reference to the rest of the candidate pool.
+    features = points[1:][chosen]
     return NeighborhoodSet(
-        members=[candidates[i] for i in chosen],
+        members=[NeighborCandidate(row, y) for row in features],
         threshold_used=t_nb,
         member_kls=[(kl_in[i], kl_out[i]) for i in chosen],
         fallback_filled=len(chosen) > int(passed.sum()),
         diagnostics=diagnostics,
+        features=features,
     )
 
 

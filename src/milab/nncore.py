@@ -377,7 +377,7 @@ def load_model(stem: str) -> tuple[ModelParams, dict]:
         blob = f.read()
     if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
         raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
-    raw = np.frombuffer(blob, dtype="<f4").copy()
+    raw = np.frombuffer(blob, dtype="<f4").copy()  # writable, like trained parameters
     dims = manifest["dims"]
     layers, pos = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

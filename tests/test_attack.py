@@ -23,12 +23,11 @@ class LabelTableModel:
         return out
 
 
-def make_neighborhood(features, label):
-    members = [NeighborCandidate(np.asarray(f, dtype=np.float64), label)
-               for f in features]
-    return NeighborhoodSet(members=members, threshold_used=0.75,
-                           member_kls=[(0.0, 0.0)] * len(members),
-                           fallback_filled=False, diagnostics=[])
+def make_neighborhood(features, label, dim=2):
+    matrix = np.array(features, dtype=np.float64).reshape(len(features), dim)
+    return NeighborhoodSet(members=[NeighborCandidate(row, label) for row in matrix],
+                           threshold_used=0.75, member_kls=[(0.0, 0.0)] * len(matrix),
+                           fallback_filled=False, diagnostics=[], features=matrix)
 
 
 def key(x):
@@ -118,7 +117,7 @@ class TestChameleonScore:
 
     def test_extreme_conventions(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([np.array([2.0])], y)
+        nbhood = make_neighborhood([np.array([2.0])], y, dim=1)
         always_right = atk.LabelOnlyModel(LabelTableModel({}, default=y))
         assert atk.chameleon_score(always_right, [(x, y)], [nbhood]) == [1.0]
         always_wrong = atk.LabelOnlyModel(LabelTableModel({}, default=0))
@@ -126,7 +125,7 @@ class TestChameleonScore:
 
     def test_empty_neighborhood_uses_single_query(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([], y)
+        nbhood = make_neighborhood([], y, dim=1)
         target = atk.LabelOnlyModel(LabelTableModel({}, default=y))
         assert atk.chameleon_score(target, [(x, y)], [nbhood]) == [1.0]
         assert target.query_count == 1
