@@ -1,11 +1,14 @@
-"""Golden digests: the sha256 of a run's deterministic artifacts, pinned
-across code versions.
+"""Golden digests: the sha256 of a run's deterministic artifacts and of two
+trained models' parameter blobs, pinned across code versions.
 
 A rerun of the same code is byte-identical (``TestCriterion10``); these
 digests also pin the bytes against earlier versions of the code, so a change
 meant to be a pure refactor or speed-up that moves one float fails here. The
 digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); another BLAS
-build may round matrix products differently. After an intended output change,
+build may round matrix products differently. The tiny games all train without
+weight decay, so ``MODELS`` adds two models trained directly with
+``nncore.train``: one with weight decay, two hidden layers and a ragged last
+batch, and one with DP-SGD noise. After an intended output change,
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
@@ -14,6 +17,8 @@ import os
 
 import pytest
 
+from milab import nncore
+from milab.datagen import gen_gaussian_mixture
 from milab.harness import config as hc
 from milab.harness import runner as hr
 from milab.nncore import DpConfig, TrainConfig
@@ -68,6 +73,32 @@ GOLDEN = {
 }
 
 
+# (dataset seed, hidden sizes, training config). 44 points in batches of 16
+# leave a last batch of 12.
+MODELS = {
+    "decay_ragged": (5, (16, 8), TrainConfig(epochs=6, learning_rate=0.1, weight_decay=1e-4,
+                                             batch_size=16, seed=7)),
+    "dp_noise": (6, (16,), TrainConfig(epochs=5, learning_rate=0.1, weight_decay=1e-3,
+                                       batch_size=16, seed=8,
+                                       dp=DpConfig(clip_norm=1.0, noise_multiplier=0.5))),
+}
+
+GOLDEN_MODELS = {
+    "decay_ragged": "d443d4709de42958384e3f4473b3027f70d7cf41d0b8cabd8c50b21c2c4f9b6a",
+    "dp_noise": "3e04d473fa090254b89349ea003121352142cd9d70c0365813ac23194a3bfce7",
+}
+
+
+def model_digest(name: str, out_dir: str) -> str:
+    """sha256 of the ``save_model`` blob of the named model."""
+    data_seed, hidden, cfg = MODELS[name]
+    dataset = gen_gaussian_mixture(4, 8, 11, 2.0, seed=data_seed)
+    stem = os.path.join(out_dir, name)
+    nncore.save_model(nncore.train(dataset, cfg, hidden), stem)
+    with open(stem + ".bin", "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def run_digests(name: str, out_dir: str) -> dict[str, str]:
     hr.run_privacy_game(CONFIGS[name], out_dir)
     digests = {}
@@ -82,6 +113,11 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
     assert run_digests(name, str(tmp_path)) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_trained_model_blobs_match_recorded_digests(name, tmp_path):
+    assert model_digest(name, str(tmp_path)) == GOLDEN_MODELS[name]
+
+
 if __name__ == "__main__":
     import logging
     import tempfile
@@ -90,3 +126,6 @@ if __name__ == "__main__":
     for config in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             print(config, run_digests(config, tmp))
+    for model in sorted(MODELS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(model, model_digest(model, tmp))
