@@ -14,6 +14,7 @@ plain SGD step exactly (same contractions, same rounding).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -130,25 +131,53 @@ def init_params(input_dim: int, hidden_sizes: tuple[int, ...], num_classes: int,
     return ModelParams(layers)
 
 
-def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
-    """Forward pass to softmax probabilities; dtype follows the inputs."""
-    if X.shape[1] != layers[0][0].shape[1]:
-        raise ValueError(
-            f"input dim {X.shape[1]} does not match model dim {layers[0][0].shape[1]}")
-    # Same operations as the training pass, done in place on each layer's
-    # own output buffer.
+def _num_params(dims) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _param_views(flat: np.ndarray, dims) -> LayerList:
+    """(W, b) views into a flat parameter vector of ``_num_params(dims)``
+    entries in the model-blob layout: per layer, the weight matrix
+    row-major, then the bias vector."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = flat[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in)
+        pos += fan_in * fan_out
+        layers.append((w, flat[pos:pos + fan_out]))
+        pos += fan_out
+    return layers
+
+
+def _forward_acts(layers: LayerList, X: np.ndarray):
+    """Each layer's input plus the softmax output, each in its own buffer
+    (the hidden ones computed in place)."""
+    acts = [X]
     h = X
     for w, b in layers[:-1]:
         h = h @ w.T
         h += b
         np.maximum(h, 0.0, out=h)
+        acts.append(h)
     w, b = layers[-1]
     z = h @ w.T
     z += b
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    return z
+    return acts, z
+
+
+def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
+    """Forward pass to softmax probabilities; dtype follows the inputs."""
+    if X.shape[1] != layers[0][0].shape[1]:
+        raise ValueError(
+            f"input dim {X.shape[1]} does not match model dim {layers[0][0].shape[1]}")
+    return _forward_acts(layers, X)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _arange(n: int) -> np.ndarray:
+    return np.arange(n)
 
 
 def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
@@ -158,39 +187,31 @@ def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
     input to layer l and ``deltas[l]`` the per-example error at layer l of the
     *summed* cross-entropy loss (no 1/B factor; callers scale after
     contraction so the plain and DP paths share bitwise-identical GEMMs).
+    The output delta is the softmax buffer itself.
     """
-    acts = [X]
-    h = X
-    for w, b in layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
-        acts.append(h)
-    w, b = layers[-1]
-    z = acts[-1] @ w.T + b
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-
-    n = X.shape[0]
-    idx = np.arange(n)
-    loss_sum = -np.log(np.maximum(probs[idx, y], 1e-300)).sum()
-
-    deltas = [None] * len(layers)
-    d = probs.copy()
+    acts, d = _forward_acts(layers, X)
+    idx = _arange(X.shape[0])
+    loss_sum = -np.log(np.maximum(d[idx, y], 1e-300)).sum()
     d[idx, y] -= 1.0
-    deltas[-1] = d
-    for l in range(len(layers) - 2, -1, -1):
-        d = (d @ layers[l + 1][0]) * (acts[l + 1] > 0)
-        deltas[l] = d
+    deltas = [d]
+    for l in range(len(layers) - 1, 0, -1):
+        d = d @ layers[l][0]
+        # Multiply by the mask: a masked assignment would write +0.0 where
+        # the product gives -0.0.
+        d *= acts[l] > 0
+        deltas.append(d)
+    deltas.reverse()
     return acts, deltas, loss_sum
 
 
-def _contract_grads(acts, deltas, weights: np.ndarray | None):
-    """Summed gradients per layer, optionally scaling each example's delta."""
-    grads = []
-    for a, d in zip(acts, deltas):
-        dw = d if weights is None else weights[:, None] * d
-        grads.append((dw.T @ a, dw.sum(axis=0)))
-    return grads
+def _contract_grads(acts, deltas, grads: LayerList, weights: np.ndarray | None = None) -> None:
+    """Summed gradients per layer, written into ``grads``' (W, b) views;
+    ``weights`` optionally scales each example's delta."""
+    for a, d, (gw, gb) in zip(acts, deltas, grads):
+        if weights is not None:
+            d = weights[:, None] * d
+        np.matmul(d.T, a, out=gw)
+        np.add.reduce(d, axis=0, out=gb)
 
 
 def mean_loss(layers: LayerList, X: np.ndarray, y: np.ndarray) -> float:
@@ -202,8 +223,10 @@ def mean_loss(layers: LayerList, X: np.ndarray, y: np.ndarray) -> float:
 def mean_grads(layers: LayerList, X: np.ndarray, y: np.ndarray) -> LayerList:
     """Analytic gradient of the mean cross-entropy over a batch."""
     acts, deltas, _ = _forward_backward(layers, X, y)
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    _contract_grads(acts, deltas, grads)
     n = X.shape[0]
-    return [(gw / n, gb / n) for gw, gb in _contract_grads(acts, deltas, None)]
+    return [(gw / n, gb / n) for gw, gb in grads]
 
 
 def clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -216,9 +239,8 @@ def clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
     return g * (clip_norm / norm)
 
 
-def _dp_step_grads(acts, deltas, dp: DpConfig, gen: np.random.Generator,
-                   shapes) -> LayerList:
-    """Clipped-and-noised summed gradients for one DP-SGD step.
+def _clip_factors(acts, deltas, clip_norm: float) -> np.ndarray:
+    """Per-example factors min(1, clip_norm / ||g_i||) for one DP-SGD step.
 
     Per-example gradient norms follow from the outer-product structure of
     dense layers: ||dW_i||_F = ||delta_i|| * ||a_i||, so the full-parameter
@@ -231,25 +253,31 @@ def _dp_step_grads(acts, deltas, dp: DpConfig, gen: np.random.Generator,
         sq = term if sq is None else sq + term
     norms = np.sqrt(sq)
     factors = np.minimum(1.0, np.divide(
-        dp.clip_norm, norms, out=np.ones_like(norms), where=norms > 0))
-    assert np.all(norms * factors <= dp.clip_norm * (1 + 1e-9)), \
+        clip_norm, norms, out=np.ones_like(norms), where=norms > 0))
+    assert np.all(norms * factors <= clip_norm * (1 + 1e-9)), \
         "clipped per-example gradient exceeds clip_norm"
-    grads = _contract_grads(acts, deltas, factors)
-    if dp.noise_multiplier > 0:
-        sigma = dp.noise_multiplier * dp.clip_norm
-        grads = [(gw + sigma * gen.standard_normal(sw), gb + sigma * gen.standard_normal(sb))
-                 for (gw, gb), (sw, sb) in zip(grads, shapes)]
-    return grads
+    return factors
 
 
-def _apply_update(layers: LayerList, grads: LayerList, scale: float, lr: float,
-                  decay_factor: float) -> LayerList:
-    """One SGD step from summed gradients: multiplicative decay on weights,
-    none on biases; ``scale`` converts the gradient sum to a mean."""
-    return [
-        (w * decay_factor - lr * (gw * scale), b - lr * (gb * scale))
-        for (w, b), (gw, gb) in zip(layers, grads)
-    ]
+def _decay_vector(dims, decay_factor: float) -> np.ndarray:
+    """``decay_factor`` on every weight and 1.0 on every bias, flat."""
+    decay = np.ones(_num_params(dims))
+    for w, _ in _param_views(decay, dims):
+        w.fill(decay_factor)
+    return decay
+
+
+def _apply_update(params: np.ndarray, grad: np.ndarray, decay: np.ndarray,
+                  scale: float, lr: float) -> None:
+    """One in-place SGD step on flat buffers: ``scale`` turns the gradient
+    sum into a mean; the decay vector shrinks weights, not biases.
+
+    Computes ``p * decay - lr * (g * scale)`` element by element, and
+    overwrites ``grad``."""
+    grad *= scale
+    grad *= lr
+    params *= decay
+    params -= grad
 
 
 def train(dataset, config: TrainConfig,
@@ -261,41 +289,51 @@ def train(dataset, config: TrainConfig,
     matrices.  With ``config.dp`` set, each step clips per-example gradients
     to ``clip_norm``, sums them, adds Gaussian noise with std
     ``noise_multiplier * clip_norm`` and divides by the batch size.
+
+    Parameters, gradient, decay factors and the DP noise are each one flat
+    float64 buffer in the model-blob layout; the layers' (W, b) are views
+    into it, and every step updates it in place.
     """
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
     init = init_params(dataset.features.shape[1], tuple(hidden_sizes),
                        dataset.num_classes, config.seed)
-    layers = init.as_float64()
     if config.epochs == 0:
         return init
 
+    dims = init.dims
+    params = np.concatenate([arr.ravel() for wb in init.layers for arr in wb],
+                            dtype=np.float64)
+    grad = np.empty_like(params)
+    layers, grads = _param_views(params, dims), _param_views(grad, dims)
+    lr = config.learning_rate
+    decay = _decay_vector(dims, 1.0 - lr * config.weight_decay)
+    dp = config.dp
+    noise = np.empty_like(params) if dp is not None and dp.noise_multiplier > 0 else None
+
     X = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    n = X.shape[0]
+    n, batch = X.shape[0], config.batch_size
     gen = make_rng(config.seed, 1)
-    shapes = [(w.shape, b.shape) for w, b in layers]
-    lr = config.learning_rate
-    decay_factor = 1.0 - lr * config.weight_decay
-
-    for epoch in range(config.epochs):
-        order = gen.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            xb, yb = X[batch], y[batch]
-            # Overflow surfaces as a non-finite loss; keep the check as the
-            # single divergence signal instead of numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow surfaces as a non-finite loss; keep the check as the single
+    # divergence signal instead of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = gen.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
+            for step, start in enumerate(range(0, n, batch)):
+                xb, yb = X_epoch[start:start + batch], y_epoch[start:start + batch]
                 acts, deltas, loss_sum = _forward_backward(layers, xb, yb)
-            if not np.isfinite(loss_sum):
-                raise NonFiniteLossError(
-                    f"non-finite loss at epoch {epoch}, step {start // config.batch_size}")
-            if config.dp is not None:
-                grads = _dp_step_grads(acts, deltas, config.dp, gen, shapes)
-            else:
-                grads = _contract_grads(acts, deltas, None)
-            layers = _apply_update(layers, grads, 1.0 / len(batch), lr, decay_factor)
-    return ModelParams([(w.astype(np.float32), b.astype(np.float32)) for w, b in layers])
+                if not math.isfinite(loss_sum):
+                    raise NonFiniteLossError(f"non-finite loss at epoch {epoch}, step {step}")
+                factors = None if dp is None else _clip_factors(acts, deltas, dp.clip_norm)
+                _contract_grads(acts, deltas, grads, factors)
+                if noise is not None:
+                    gen.standard_normal(out=noise)
+                    noise *= dp.noise_multiplier * dp.clip_norm
+                    grad += noise
+                _apply_update(params, grad, decay, 1.0 / len(yb), lr)
+    return ModelParams(_param_views(params.astype(np.float32), dims))
 
 
 def predict_labels(model: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -379,16 +417,9 @@ def load_model(stem: str) -> tuple[ModelParams, dict]:
         raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
     raw = np.frombuffer(blob, dtype="<f4").copy()  # writable, like trained parameters
     dims = manifest["dims"]
-    layers, pos = [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = raw[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in)
-        pos += fan_in * fan_out
-        b = raw[pos:pos + fan_out]
-        pos += fan_out
-        layers.append((np.ascontiguousarray(w), np.ascontiguousarray(b)))
-    if pos != raw.size:
+    if raw.size != _num_params(dims):
         raise ValueError(f"parameter blob size mismatch in {stem}.bin")
-    return ModelParams(layers), manifest
+    return ModelParams(_param_views(raw, dims)), manifest
 
 
 def model_exists(stem: str) -> bool:

@@ -20,6 +20,10 @@ def random_layers(gen, dims):
             for i, o in zip(dims[:-1], dims[1:])]
 
 
+def zero_grads(layers):
+    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+
+
 class TestTraining:
     def test_zero_epochs_returns_seeded_init(self, xor_dataset):
         cfg = nn.TrainConfig(epochs=0, learning_rate=0.1, seed=11)
@@ -53,12 +57,15 @@ class TestTraining:
 
     def test_weight_decay_only_step_shrinks_exactly(self):
         gen = np.random.default_rng(2)
-        layers = random_layers(gen, [4, 5, 3])
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        dims = [4, 5, 3]
+        params = np.concatenate([arr.ravel() for wb in random_layers(gen, dims)
+                                 for arr in wb])
+        before = params.copy()  # the step updates params in place
         lr, wd = 0.07, 0.013
-        updated = nn._apply_update(layers, zero, scale=0.25, lr=lr,
-                                   decay_factor=1.0 - lr * wd)
-        for (w, b), (w2, b2) in zip(layers, updated):
+        nn._apply_update(params, np.zeros_like(params),
+                         nn._decay_vector(dims, 1.0 - lr * wd), scale=0.25, lr=lr)
+        for (w, b), (w2, b2) in zip(nn._param_views(before, dims),
+                                    nn._param_views(params, dims)):
             assert np.array_equal(w2, w * (1.0 - lr * wd))
             assert np.array_equal(b2, b)
 
@@ -80,13 +87,14 @@ class TestDpMode:
         y = gen.integers(0, 3, 7)
         acts, deltas, _ = nn._forward_backward(layers, X, y)
         dp = nn.DpConfig(clip_norm=0.7)
-        got = nn._dp_step_grads(acts, deltas, dp, None,
-                                [(w.shape, b.shape) for w, b in layers])
+        got = zero_grads(layers)
+        nn._contract_grads(acts, deltas, got, nn._clip_factors(acts, deltas, dp.clip_norm))
 
-        expected = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        expected = zero_grads(layers)
         for i in range(7):
             a_i, d_i, _ = nn._forward_backward(layers, X[i:i + 1], y[i:i + 1])
-            g_i = nn._contract_grads(a_i, d_i, None)
+            g_i = zero_grads(layers)
+            nn._contract_grads(a_i, d_i, g_i)
             flat = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()])
                                    for gw, gb in g_i])
             norm = np.linalg.norm(flat)
