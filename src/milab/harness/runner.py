@@ -275,7 +275,7 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
         quantized = np.stack([c.x_c for c in cands]).astype(np.float32).astype(np.float64)
         for c, row in zip(cands, quantized):
             c.x_c = row
-        pools[pos] = cands
+        pools[pos] = quantized
         selected[pos] = select_neighborhood(
             (x, y), cands, in_models[pos], out_models[pos],
             t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)

@@ -24,16 +24,6 @@ from .nncore import LOGIT_EPS, logit
 VAR_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class LogitStats:
-    """Gaussian fits (mean, population variance) of per-model logits."""
-
-    mu_in: float
-    var_in: float
-    mu_out: float
-    var_out: float
-
-
 @dataclass
 class CandidateDiagnostics:
     index: int
@@ -76,17 +66,6 @@ def _moments(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     same order as reducing that point's column alone; ``axis=0`` would not.
     """
     return logits.mean(axis=-1), np.maximum(logits.var(axis=-1), VAR_FLOOR)
-
-
-def fit_logit_stats(x: np.ndarray, y: int, in_models, out_models,
-                    eps: float = LOGIT_EPS) -> LogitStats:
-    """Mean and floored population variance of logit confidences per side."""
-    if len(in_models) < 2 or len(out_models) < 2:
-        raise ValueError("need at least 2 models on each side")
-    point = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mu_in, var_in = _moments(_logit_matrix(point, y, in_models, eps)[0])
-    mu_out, var_out = _moments(_logit_matrix(point, y, out_models, eps)[0])
-    return LogitStats(float(mu_in), float(var_in), float(mu_out), float(var_out))
 
 
 def kl_gaussian(a, b) -> float | np.ndarray:
@@ -167,22 +146,23 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
     )
 
 
-def _feature_hash(x: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()[:16]
-
-
 def export_diagnostics_csv(path: str, per_point: dict[int, NeighborhoodSet],
-                           candidate_pools: dict[int, list[NeighborCandidate]]) -> None:
-    """Per-candidate selection record for ablation plots."""
+                           candidate_pools: dict[int, np.ndarray]) -> None:
+    """Per-candidate selection record for ablation plots.
+
+    ``candidate_pools`` maps each point to its candidates' features, one row
+    per candidate. A candidate's hash is the first 16 hex digits of the
+    sha256 of its row as little-endian float64."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["challenge_index", "candidate_hash", "kl_in", "kl_out",
                          "admitted", "selected"])
         for point in sorted(per_point):
-            pool = candidate_pools[point]
-            for diag in per_point[point].diagnostics:
-                writer.writerow([
-                    point, _feature_hash(pool[diag.index].x_c),
-                    repr(diag.kl_in), repr(diag.kl_out),
-                    int(diag.admitted), int(diag.selected),
-                ])
+            pool = np.asarray(candidate_pools[point], dtype="<f8")
+            data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
+            hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
+                      for i in range(0, len(data), width)]
+            writer.writerows(
+                [point, hashes[d.index], repr(d.kl_in), repr(d.kl_out),
+                 int(d.admitted), int(d.selected)]
+                for d in per_point[point].diagnostics)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,33 +23,33 @@ def lookup_models(confidence_lists, x, y, num_classes=4):
             for c in confidence_lists]
 
 
+def fit(x, y, models):
+    """The Gaussian logit fit select_neighborhood makes of one point on one
+    side: ``_moments`` over the ``_logit_matrix`` row of that point."""
+    mu, var = nb._moments(nb._logit_matrix(np.atleast_2d(x), y, models, LOGIT_EPS))
+    return float(mu[0]), float(var[0])
+
+
 class TestFitLogitStats:
     def test_degenerate_spread_hits_floor(self):
         x, y = np.array([1.0, 2.0]), 1
-        models = lookup_models([0.7] * 4, x, y)
-        stats = nb.fit_logit_stats(x, y, models, models)
-        assert stats.var_in == nb.VAR_FLOOR
-        assert stats.var_out == nb.VAR_FLOOR
-        assert stats.mu_in == pytest.approx(logit(0.7), abs=1e-12)
+        mu, var = fit(x, y, lookup_models([0.7] * 4, x, y))
+        assert var == nb.VAR_FLOOR
+        assert mu == pytest.approx(logit(0.7), abs=1e-12)
 
     def test_two_point_population_moments(self):
         # Confidences chosen so the logits are exactly {0, 2}.
         x, y = np.array([0.5]), 0
         confs = [sigmoid(0.0), sigmoid(2.0)]
-        models = lookup_models(confs, x, y)
-        stats = nb.fit_logit_stats(x, y, models, models)
-        assert stats.mu_in == pytest.approx(1.0, abs=1e-9)
-        assert stats.var_in == pytest.approx(1.0, abs=1e-9)
+        mu, var = fit(x, y, lookup_models(confs, x, y))
+        assert mu == pytest.approx(1.0, abs=1e-9)
+        assert var == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_two_pass_reference(self):
         gen = np.random.default_rng(0)
         x, y = np.array([3.0, -1.0]), 2
-        conf_in = gen.uniform(0.05, 0.95, 8)
-        conf_out = gen.uniform(0.05, 0.95, 8)
-        stats = nb.fit_logit_stats(x, y, lookup_models(conf_in, x, y),
-                                   lookup_models(conf_out, x, y))
-        for confs, mu, var in ((conf_in, stats.mu_in, stats.var_in),
-                               (conf_out, stats.mu_out, stats.var_out)):
+        for confs in (gen.uniform(0.05, 0.95, 8), gen.uniform(0.05, 0.95, 8)):
+            mu, var = fit(x, y, lookup_models(confs, x, y))
             logits = [logit(c) for c in confs]
             ref_mu = sum(logits) / len(logits)
             ref_var = sum((v - ref_mu) ** 2 for v in logits) / len(logits)
@@ -56,11 +57,9 @@ class TestFitLogitStats:
             assert var == pytest.approx(max(ref_var, nb.VAR_FLOOR), rel=1e-12)
 
     def test_too_few_models_rejected(self):
-        x, y = np.array([0.0]), 0
-        one = lookup_models([0.5], x, y)
-        two = lookup_models([0.5, 0.6], x, y)
-        with pytest.raises(ValueError):
-            nb.fit_logit_stats(x, y, one, two)
+        challenge, cands, mi, mo = build_selection_setup([0.0], [0.0])
+        with pytest.raises(ValueError, match="at least 2 models"):
+            nb.select_neighborhood(challenge, cands, mi[:1], mo, t_nb=0.75, n=1)
 
 
 class TestKlGaussian:
@@ -268,7 +267,10 @@ class TestExport:
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), {0: result}, {0: cands})
+        nb.export_diagnostics_csv(str(path), {0: result}, {0: np.stack([c.x_c for c in cands])})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "challenge_index,candidate_hash,kl_in,kl_out,admitted,selected"
         assert len(lines) == 3
+        # Each row hashes its own candidate's float64 bytes.
+        assert [line.split(",")[1] for line in lines[1:]] == [
+            hashlib.sha256(c.x_c.astype("<f8").tobytes()).hexdigest()[:16] for c in cands]
