@@ -175,9 +175,12 @@ def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
     return _forward_acts(layers, X)[1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _arange(n: int) -> np.ndarray:
-    return np.arange(n)
+    """``np.arange(n)``, shared between calls, so read-only."""
+    idx = np.arange(n)
+    idx.flags.writeable = False
+    return idx
 
 
 def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
