@@ -5,10 +5,12 @@ A rerun of the same code is byte-identical (``TestCriterion10``); these
 digests also pin the bytes against earlier versions of the code, so a change
 meant to be a pure refactor or speed-up that moves one float fails here. The
 digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); another BLAS
-build may round matrix products differently. The tiny games all train without
-weight decay, so ``MODELS`` adds two models trained directly with
-``nncore.train``: one with weight decay, two hidden layers and a ragged last
-batch, and one with DP-SGD noise. After an intended output change,
+build may round matrix products differently. Besides the batched adaptive
+game, ``GAME_ARGS`` pins the per-point strict game and the static baseline,
+which reach the neighbourhood stage through their own poison paths. The tiny
+games all train without weight decay, so ``MODELS`` adds two models trained
+directly with ``nncore.train``: one with weight decay, two hidden layers and
+a ragged last batch, and one with DP-SGD noise. After an intended output change,
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
@@ -52,6 +54,17 @@ CONFIGS = {
     "dp_workers2": _tiny(train=TrainConfig(epochs=6, learning_rate=0.1, batch_size=16,
                                            dp=DpConfig(clip_norm=2.0, noise_multiplier=0.5)),
                          workers=2),
+    "strict": _tiny(),
+    # At this seed the adaptive loop stops short of 2 on two points, so the
+    # static game's targets differ from an adaptive run's.
+    "static_k2": _tiny(master_seed=4),
+}
+
+# Keyword arguments of ``run_privacy_game`` beyond the config: the per-point
+# strict game and the static baseline each take their own poison path.
+GAME_ARGS = {
+    "strict": {"game_strict": True},
+    "static_k2": {"k_static": 2},
 }
 
 GOLDEN = {
@@ -69,6 +82,16 @@ GOLDEN = {
         "scores.csv": "05f0af6d30bfffe8ecbc82d4f708a121c97a2e008daf4c50de50b9b23e680b53",
         "metrics.csv": "30c27fd1391ef095474cf4b8043e3592193d4f4e92f68b9606bee50c99de1ed7",
         "neighborhood_diagnostics.csv": "2ffe44b7ca69b45902a921253e24f954aeac450977a2d91dd36ac7e4594503d5",
+    },
+    "strict": {
+        "scores.csv": "f009e873705f7e6566cd6a9f9c30b60eda1d06c025cbd3d6cabb216389bf12c6",
+        "metrics.csv": "ac1a066dceb789f0ac850408df6a898a20cf485128c267968357324de2e36199",
+        "neighborhood_diagnostics.csv": "e0abf2f8efae91e99e077d5f49636d3e26c37ca78de76c8b759560f8b6d8a3c9",
+    },
+    "static_k2": {
+        "scores.csv": "c1dd687decd2d2b830e5ab1307a07ff923a5a10e597216730b492a2b444ec1ab",
+        "metrics.csv": "7e54d9950af3b2cd4e06eadb417c54de78b638133e51eec42c2dc8b6430ba79c",
+        "neighborhood_diagnostics.csv": "b6743552c2da60b248ad1d8d1fe7ccff2789c58ffd40d3a7a6bf065f18f78d61",
     },
 }
 
@@ -100,7 +123,7 @@ def model_digest(name: str, out_dir: str) -> str:
 
 
 def run_digests(name: str, out_dir: str) -> dict[str, str]:
-    hr.run_privacy_game(CONFIGS[name], out_dir)
+    hr.run_privacy_game(CONFIGS[name], out_dir, **GAME_ARGS.get(name, {}))
     digests = {}
     for file in CHECKED:
         with open(os.path.join(out_dir, file), "rb") as f:
