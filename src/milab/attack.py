@@ -66,7 +66,7 @@ def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]]
     queries, expected, bounds = [], [], [0]
     for (x, y), neighborhood in zip(challenges, neighborhoods, strict=True):
         queries += [np.asarray(x, dtype=np.float64)[None, :], neighborhood.features]
-        rows = len(neighborhood.members) + 1
+        rows = len(neighborhood.features) + 1
         expected.extend([y] * rows)
         bounds.append(bounds[-1] + rows)
     wrong = target.predict_label_batch(np.concatenate(queries)) != np.asarray(expected)

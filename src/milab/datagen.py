@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class SplitPlan:
         return np.flatnonzero(~self.inclusion[:, point])
 
 
-@dataclass
-class NeighborCandidate:
-    """Perturbed variant of a challenge point, carrying the same label."""
-
-    x_c: np.ndarray
-    label: int
-
-
 def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
                          class_sep: float, seed: int) -> Dataset:
     """Gaussian classes N(mu_c, I) with mu_c = class_sep * e_c.
@@ -142,9 +134,9 @@ def make_split_plan(n_points: int, challenge_indices, num_models: int,
     return SplitPlan(inclusion, tuple(challenge_indices))
 
 
-def gen_neighbors(x: np.ndarray, y: int, modality: str, count: int,
-                  noise_scale: float, seed: int) -> list[NeighborCandidate]:
-    """Candidate neighbors of (x, y) for the membership neighborhood.
+def gen_neighbors(x: np.ndarray, modality: str, count: int,
+                  noise_scale: float, seed: int) -> np.ndarray:
+    """Candidate neighbors of x, one per row of a [count, dim] matrix.
 
     Continuous modality adds isotropic Gaussian jitter with std noise_scale;
     binary flips each bit independently with probability noise_scale.  Any
@@ -156,18 +148,18 @@ def gen_neighbors(x: np.ndarray, y: int, modality: str, count: int,
         raise ValueError(f"unknown modality {modality!r}")
     x = np.asarray(x, dtype=np.float64)
     gen = make_rng(seed)
-    out: list[NeighborCandidate] = []
-    while len(out) < count:
-        todo = count - len(out)
+    kept: list[np.ndarray] = []
+    todo = count
+    while todo:
         if modality == CONTINUOUS:
             cands = x + noise_scale * gen.standard_normal((todo, x.size))
         else:
             flips = gen.random((todo, x.size)) < noise_scale
             cands = np.abs(x - flips.astype(np.float64))
         # At most ``todo`` rows are drawn, so every row unequal to x fits.
-        out.extend(NeighborCandidate(row, int(y))
-                   for row in cands[~(cands == x).all(axis=1)])
-    return out
+        kept.append(cands[~(cands == x).all(axis=1)])
+        todo -= len(kept[-1])
+    return np.concatenate(kept)
 
 
 DATASET_FORMAT = "milab-dataset-v1"

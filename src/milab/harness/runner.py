@@ -268,17 +268,13 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
     pools = {}
     for pos in range(len(challenges)):
         x = challenges.features[pos]
-        y = int(challenges.labels[pos])
-        cands = gen_neighbors(x, y, modality, cfg.neighborhood.pool_size, noise,
+        cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
                               derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
         # Round to float32 like the pool's features, in one cast per pool.
-        quantized = np.stack([c.x_c for c in cands]).astype(np.float32).astype(np.float64)
-        for c, row in zip(cands, quantized):
-            c.x_c = row
-        pools[pos] = quantized
+        pools[pos] = cands.astype(np.float32).astype(np.float64)
         selected[pos] = select_neighborhood(
-            (x, y), cands, in_models[pos], out_models[pos],
-            t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)
+            (x, int(challenges.labels[pos])), pools[pos], in_models[pos],
+            out_models[pos], t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)
     export_diagnostics_csv(path, selected, pools)
     return selected
 
@@ -350,7 +346,7 @@ def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
     records: list[ScoreRecord] = []
     total_queries = 0
     for attack in cfg.attacks:
-        rows = [len(nb.members) + 1 if attack == CHAMELEON else 1 for nb in nbhoods]
+        rows = [len(nb.features) + 1 if attack == CHAMELEON else 1 for nb in nbhoods]
         groups = _query_groups(rows, cap)
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import NeighborCandidate
 from .nncore import LOGIT_EPS, logit
 
 VAR_FLOOR = 1e-6
@@ -37,16 +36,12 @@ class CandidateDiagnostics:
 class NeighborhoodSet:
     """Selected neighbors with their KL diagnostics.
 
-    ``members`` holds at most the configured size; ``member_kls`` aligns with
-    it as (kl_in, kl_out) pairs.  When fewer candidates pass the threshold
-    than requested, the set is topped up with the closest failing candidates
-    and flagged ``fallback_filled``.  ``features`` holds the members'
-    features as one [n, dim] matrix; each member's ``x_c`` is a row of it.
+    ``features`` holds the members' features as one [n, dim] matrix, n at
+    most the configured size. When fewer candidates pass the threshold than
+    requested, the set is topped up with the closest failing candidates and
+    flagged ``fallback_filled``.
     """
 
-    members: list[NeighborCandidate]
-    threshold_used: float
-    member_kls: list[tuple[float, float]]
     fallback_filled: bool
     diagnostics: list[CandidateDiagnostics]
     features: np.ndarray = field(compare=False, repr=False)
@@ -94,11 +89,11 @@ def _kl_to_challenge(logits: np.ndarray) -> np.ndarray:
     return kl_gaussian((mu[1:], var[1:]), (float(mu[0]), float(var[0])))
 
 
-def select_neighborhood(challenge: tuple[np.ndarray, int],
-                        candidates: list[NeighborCandidate],
+def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarray,
                         in_models, out_models, t_nb: float, n: int,
                         eps: float = LOGIT_EPS) -> NeighborhoodSet:
-    """Admit candidates whose IN and OUT logit fits are both KL-close.
+    """Admit candidates (rows of ``candidates``) whose IN and OUT logit fits
+    are both KL-close.
 
     A candidate passes when KL(candidate_IN || challenge_IN) <= t_nb and
     KL(candidate_OUT || challenge_OUT) <= t_nb.  If more than n pass, the n
@@ -106,17 +101,14 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
     candidates fill the remainder and the set is flagged.  Ties in
     max(kl_in, kl_out) go to the lower candidate index.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("empty candidate pool")
-    x, y = challenge
-    if any(c.label != y for c in candidates):
-        raise ValueError("candidates must share the challenge label")
     if len(in_models) < 2 or len(out_models) < 2:
         raise ValueError("need at least 2 models on each side")
+    x, y = challenge
 
     # One batched pass per model over [challenge, candidates...].
-    points = np.vstack([np.asarray(x, dtype=np.float64)[None, :],
-                        np.stack([c.x_c for c in candidates])])
+    points = np.vstack([np.asarray(x, dtype=np.float64)[None, :], candidates])
     kl_in = _kl_to_challenge(_logit_matrix(points, y, in_models, eps))
     kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models, eps))
     passed = (kl_in <= t_nb) & (kl_out <= t_nb)
@@ -124,25 +116,21 @@ def select_neighborhood(challenge: tuple[np.ndarray, int],
     # Passing candidates by (max KL, index), then failing ones the same way.
     order = np.lexsort((np.arange(len(candidates)), np.maximum(kl_in, kl_out)))
     ranked = np.concatenate([order[passed[order]], order[~passed[order]]])
-    chosen = ranked[:n].tolist()
+    chosen = ranked[:n]
     selected = np.zeros(len(candidates), dtype=bool)
     selected[chosen] = True
 
-    kl_in, kl_out = kl_in.tolist(), kl_out.tolist()
     diagnostics = [
         CandidateDiagnostics(idx, *fields)
-        for idx, fields in enumerate(zip(kl_in, kl_out, passed.tolist(), selected.tolist()))
+        for idx, fields in enumerate(zip(kl_in.tolist(), kl_out.tolist(),
+                                         passed.tolist(), selected.tolist()))
     ]
     # The members are rows of one matrix, so scoring needs no restacking and
     # the set keeps no reference to the rest of the candidate pool.
-    features = points[1:][chosen]
     return NeighborhoodSet(
-        members=[NeighborCandidate(row, y) for row in features],
-        threshold_used=t_nb,
-        member_kls=[(kl_in[i], kl_out[i]) for i in chosen],
         fallback_filled=len(chosen) > int(passed.sum()),
         diagnostics=diagnostics,
-        features=features,
+        features=points[1:][chosen],
     )
 
 

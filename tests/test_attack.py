@@ -3,7 +3,7 @@ import pytest
 
 from milab import attack as atk
 from milab import nncore as nn
-from milab.datagen import NeighborCandidate, gen_gaussian_mixture
+from milab.datagen import gen_gaussian_mixture
 from milab.neighborhood import NeighborhoodSet
 
 
@@ -23,11 +23,9 @@ class LabelTableModel:
         return out
 
 
-def make_neighborhood(features, label, dim=2):
+def make_neighborhood(features, dim=2):
     matrix = np.array(features, dtype=np.float64).reshape(len(features), dim)
-    return NeighborhoodSet(members=[NeighborCandidate(row, label) for row in matrix],
-                           threshold_used=0.75, member_kls=[(0.0, 0.0)] * len(matrix),
-                           fallback_filled=False, diagnostics=[], features=matrix)
+    return NeighborhoodSet(fallback_filled=False, diagnostics=[], features=matrix)
 
 
 def key(x):
@@ -39,7 +37,7 @@ class TestMisclassificationScore:
         self.x = np.array([9.0, 9.0])
         self.y = 1
         self.neighbors = [np.array([9.0 + i, 0.0]) for i in range(4)]
-        self.nbhood = make_neighborhood(self.neighbors, self.y)
+        self.nbhood = make_neighborhood(self.neighbors)
 
     def facade(self, correct_on):
         table = {key(q): (self.y if i in correct_on else 3)
@@ -71,7 +69,7 @@ class TestMisclassificationScore:
     def test_batch_equals_points_one_at_a_time(self):
         # Two points of one label (the first one's neighbors) in one batch.
         other_x = np.array([-1.0, -1.0])
-        other = make_neighborhood([np.array([-2.0, -1.0])], self.y)
+        other = make_neighborhood([np.array([-2.0, -1.0])])
         table = {key(self.x): self.y, key(self.neighbors[1]): self.y, key(other_x): 3}
         batches = []
 
@@ -92,7 +90,7 @@ class TestMisclassificationScore:
 
     def test_sixteen_of_sixtyfive(self):
         neighbors = [np.array([float(i), 1.0]) for i in range(64)]
-        nbhood = make_neighborhood(neighbors, self.y)
+        nbhood = make_neighborhood(neighbors)
         wrong = set(range(16))  # first 16 queries mismatch
         table = {key(q): (3 if i in wrong else self.y)
                  for i, q in enumerate([self.x] + neighbors)}
@@ -101,14 +99,14 @@ class TestMisclassificationScore:
 
     def test_invariant_to_neighbor_order(self):
         base = self.score(self.facade(correct_on={0, 1, 4}))
-        shuffled = make_neighborhood([self.neighbors[i] for i in (2, 0, 3, 1)], self.y)
+        shuffled = make_neighborhood([self.neighbors[i] for i in (2, 0, 3, 1)])
         assert self.score(self.facade(correct_on={0, 1, 4}), shuffled) == base
 
 
 class TestChameleonScore:
     def test_score_is_one_minus_fraction(self):
         x, y = np.array([1.0, 2.0]), 2
-        nbhood = make_neighborhood([np.array([1.5, 2.0])], y)
+        nbhood = make_neighborhood([np.array([1.5, 2.0])])
         target = atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1))
         [score] = atk.chameleon_score(target, [(x, y)], [nbhood])
         [frac] = atk.misclassification_score(
@@ -117,7 +115,7 @@ class TestChameleonScore:
 
     def test_extreme_conventions(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([np.array([2.0])], y, dim=1)
+        nbhood = make_neighborhood([np.array([2.0])], dim=1)
         always_right = atk.LabelOnlyModel(LabelTableModel({}, default=y))
         assert atk.chameleon_score(always_right, [(x, y)], [nbhood]) == [1.0]
         always_wrong = atk.LabelOnlyModel(LabelTableModel({}, default=0))
@@ -125,7 +123,7 @@ class TestChameleonScore:
 
     def test_empty_neighborhood_uses_single_query(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([], y, dim=1)
+        nbhood = make_neighborhood([], dim=1)
         target = atk.LabelOnlyModel(LabelTableModel({}, default=y))
         assert atk.chameleon_score(target, [(x, y)], [nbhood]) == [1.0]
         assert target.query_count == 1
@@ -174,7 +172,7 @@ class TestLabelOnlySeam:
                 return np.zeros(len(X), dtype=int)
 
         x, y = np.array([1.0, 1.0]), 0
-        nbhood = make_neighborhood([np.array([1.0, 2.0])], y)
+        nbhood = make_neighborhood([np.array([1.0, 2.0])])
         assert atk.chameleon_score(LabelsOnly(), [(x, y)], [nbhood]) == [1.0]
         assert atk.gap_score(LabelsOnly(), [(x, y)]) == [1.0]
 

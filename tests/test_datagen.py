@@ -126,32 +126,33 @@ class TestSplitPlan:
 class TestNeighbors:
     def test_requested_count_produced(self):
         x = np.zeros(10)
-        cands = dg.gen_neighbors(x, 3, dg.CONTINUOUS, count=64, noise_scale=0.5, seed=0)
-        assert len(cands) == 64
-        assert all(c.label == 3 for c in cands)
+        cands = dg.gen_neighbors(x, dg.CONTINUOUS, count=64, noise_scale=0.5, seed=0)
+        assert cands.shape == (64, 10)
+        assert cands.dtype == np.float64
 
     def test_no_candidate_equals_the_point(self):
         x = np.ones(6)
         for modality, scale in ((dg.CONTINUOUS, 0.2), (dg.BINARY, 0.05)):
-            cands = dg.gen_neighbors(x, 0, modality, count=100, noise_scale=scale, seed=1)
-            assert all(not np.array_equal(c.x_c, x) for c in cands)
+            cands = dg.gen_neighbors(x, modality, count=100, noise_scale=scale, seed=1)
+            assert cands.shape == (100, 6)
+            assert not (cands == x).all(axis=1).any()
 
     def test_small_noise_stays_close(self):
         x = np.linspace(0, 1, 8)
-        cands = dg.gen_neighbors(x, 1, dg.CONTINUOUS, count=50, noise_scale=1e-6, seed=2)
-        for c in cands:
-            assert np.max(np.abs(c.x_c - x)) < 1e-4
+        cands = dg.gen_neighbors(x, dg.CONTINUOUS, count=50, noise_scale=1e-6, seed=2)
+        assert cands.shape == (50, 8)
+        assert np.max(np.abs(cands - x)) < 1e-4
 
     def test_binary_flips_bits(self):
         x = np.zeros(40)
-        cands = dg.gen_neighbors(x, 0, dg.BINARY, count=30, noise_scale=0.1, seed=3)
-        for c in cands:
-            assert set(np.unique(c.x_c)) <= {0.0, 1.0}
-            assert c.x_c.sum() >= 1  # at least one flip, else it equals x
+        cands = dg.gen_neighbors(x, dg.BINARY, count=30, noise_scale=0.1, seed=3)
+        assert cands.shape == (30, 40)
+        assert set(np.unique(cands)) <= {0.0, 1.0}
+        assert (cands.sum(axis=1) >= 1).all()  # at least one flip, else it equals x
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValueError):
-            dg.gen_neighbors(np.zeros(3), 0, "audio", 4, 0.1, 0)
+            dg.gen_neighbors(np.zeros(3), "audio", 4, 0.1, 0)
 
 
 class TestSerialization:

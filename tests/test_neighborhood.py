@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from milab import neighborhood as nb
-from milab.datagen import NeighborCandidate
 from milab.nncore import LOGIT_EPS, logit
 from stubs import FixedProbaModel, proba_key
 
@@ -177,15 +176,14 @@ def build_selection_setup(offsets_in, offsets_out, num_models=4):
     y = 1
     base_in = [0.3, 0.45, 0.55, 0.7]
     base_out = [0.2, 0.4, 0.6, 0.8]
-    candidates = [NeighborCandidate(np.array([float(j), 0.0]), y)
-                  for j in range(len(offsets_in))]
+    candidates = np.array([[float(j), 0.0] for j in range(len(offsets_in))])
     in_models, out_models = [], []
     for side, bases, models in (("in", base_in, in_models), ("out", base_out, out_models)):
         for conf in bases:
             table = {proba_key(x): {y: conf}}
             for j, cand in enumerate(candidates):
                 shift = offsets_in[j] if side == "in" else offsets_out[j]
-                table[proba_key(cand.x_c)] = {y: sigmoid(logit(conf) + shift)}
+                table[proba_key(cand)] = {y: sigmoid(logit(conf) + shift)}
             models.append(FixedProbaModel(table, 4))
     return (x, y), candidates, in_models, out_models
 
@@ -195,8 +193,9 @@ class TestSelectNeighborhood:
         challenge, cands, mi, mo = build_selection_setup([0.0, 3.0], [0.0, 3.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
         assert not result.fallback_filled
-        assert np.array_equal(result.members[0].x_c, cands[0].x_c)
-        assert result.member_kls[0][0] == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(result.features[0], cands[0])
+        assert result.diagnostics[0].selected
+        assert result.diagnostics[0].kl_in == pytest.approx(0.0, abs=1e-9)
 
     def test_conjunction_requires_both_sides(self):
         # Candidate close on OUT models but far on IN models must fail.
@@ -211,18 +210,18 @@ class TestSelectNeighborhood:
         offsets = [0.0, 0.1, 0.2, 0.3]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=10.0, n=2)
-        picked = {tuple(m.x_c) for m in result.members}
-        assert picked == {tuple(cands[0].x_c), tuple(cands[1].x_c)}
+        picked = {tuple(row) for row in result.features}
+        assert picked == {tuple(cands[0]), tuple(cands[1])}
         assert not result.fallback_filled
 
     def test_fallback_fill_flagged_and_ordered(self):
         challenge, cands, mi, mo = build_selection_setup([0.0, 5.0, 3.0], [0.0, 5.0, 3.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.05, n=2)
         assert result.fallback_filled
-        assert len(result.members) == 2
+        assert len(result.features) == 2
         # Passing candidate first, then the closest failing one.
-        assert np.array_equal(result.members[0].x_c, cands[0].x_c)
-        assert np.array_equal(result.members[1].x_c, cands[2].x_c)
+        assert np.array_equal(result.features[0], cands[0])
+        assert np.array_equal(result.features[1], cands[2])
 
     def test_enlarging_threshold_never_shrinks_pass_set(self):
         offsets = [0.0, 0.5, 1.0, 2.0, 4.0]
@@ -239,10 +238,10 @@ class TestSelectNeighborhood:
         offsets = [0.0, 0.4, 0.9, 1.5, 2.5]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
         base = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=1.0, n=3)
-        perm = [cands[i] for i in (3, 0, 4, 2, 1)]
+        perm = cands[[3, 0, 4, 2, 1]]
         shuffled = nb.select_neighborhood(challenge, perm, mi, mo, t_nb=1.0, n=3)
-        assert ({tuple(m.x_c) for m in base.members}
-                == {tuple(m.x_c) for m in shuffled.members})
+        assert ({tuple(row) for row in base.features}
+                == {tuple(row) for row in shuffled.features})
 
     def test_equal_max_kl_ordered_by_index(self):
         # Candidates 1 and 3 tie on both divergences; 0 and 2 tie further out.
@@ -251,15 +250,15 @@ class TestSelectNeighborhood:
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=10.0, n=3)
         kls = [(d.kl_in, d.kl_out) for d in result.diagnostics]
         assert kls[1] == kls[3] and kls[0] == kls[2] and kls[1] < kls[0]
-        picked = [int(m.x_c[0]) for m in result.members]
+        picked = result.features[:, 0].astype(int).tolist()
         assert picked == [1, 3, 0]
-        assert result.member_kls == [kls[1], kls[3], kls[0]]
+        assert [max(kls[i]) for i in picked] == sorted(max(kl) for kl in kls)[:3]
         assert [d.selected for d in result.diagnostics] == [True, True, False, True]
 
     def test_empty_pool_rejected(self):
         challenge, _, mi, mo = build_selection_setup([0.0], [0.0])
         with pytest.raises(ValueError):
-            nb.select_neighborhood(challenge, [], mi, mo, t_nb=0.75, n=4)
+            nb.select_neighborhood(challenge, np.empty((0, 2)), mi, mo, t_nb=0.75, n=4)
 
 
 class TestExport:
@@ -267,10 +266,10 @@ class TestExport:
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), {0: result}, {0: np.stack([c.x_c for c in cands])})
+        nb.export_diagnostics_csv(str(path), {0: result}, {0: cands})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "challenge_index,candidate_hash,kl_in,kl_out,admitted,selected"
         assert len(lines) == 3
         # Each row hashes its own candidate's float64 bytes.
         assert [line.split(",")[1] for line in lines[1:]] == [
-            hashlib.sha256(c.x_c.astype("<f8").tobytes()).hexdigest()[:16] for c in cands]
+            hashlib.sha256(row.astype("<f8").tobytes()).hexdigest()[:16] for row in cands]
