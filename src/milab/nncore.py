@@ -232,16 +232,6 @@ def mean_grads(layers: LayerList, X: np.ndarray, y: np.ndarray) -> LayerList:
     return [(gw / n, gb / n) for gw, gb in grads]
 
 
-def clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale g to l2 norm at most clip_norm: g * min(1, clip_norm / ||g||)."""
-    if not clip_norm > 0:
-        raise ValueError("clip_norm must be > 0")
-    norm = float(np.linalg.norm(g))
-    if norm <= clip_norm:
-        return np.array(g, copy=True)
-    return g * (clip_norm / norm)
-
-
 def _clip_factors(acts, deltas, clip_norm: float) -> np.ndarray:
     """Per-example factors min(1, clip_norm / ||g_i||) for one DP-SGD step.
 

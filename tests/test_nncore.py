@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from milab import nncore as nn
 from milab.datagen import Dataset, gen_gaussian_mixture
@@ -207,31 +205,6 @@ class TestLogit:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             nn.logit(0.5, eps=0.7)
-
-
-class TestClipGradient:
-    def test_above_threshold_rescaled(self):
-        g = np.array([6.0, 8.0])  # norm 10
-        out = nn.clip_gradient(g, 5.0)
-        assert np.linalg.norm(out) == pytest.approx(5.0, rel=1e-12)
-        np.testing.assert_allclose(out / np.linalg.norm(out),
-                                   g / np.linalg.norm(g), atol=1e-12)
-
-    def test_below_threshold_unchanged(self):
-        g = np.array([3.0, 0.0])
-        np.testing.assert_array_equal(nn.clip_gradient(g, 5.0), g)
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(nn.clip_gradient(np.zeros(4), 5.0),
-                                      np.zeros(4))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-           st.floats(1e-3, 1e3))
-    @settings(max_examples=100, deadline=None)
-    def test_norm_never_exceeds_bound(self, values, clip_norm):
-        g = np.array(values)
-        out = nn.clip_gradient(g, clip_norm)
-        assert np.linalg.norm(out) <= clip_norm * (1 + 1e-9)
 
 
 class TestSerialization:
