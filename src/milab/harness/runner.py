@@ -456,39 +456,38 @@ def run_static_baseline(cfg: ExperimentConfig, k_static: int, out_dir: str,
     return run_privacy_game(cfg, out_dir, cache_dir, k_static=k_static)
 
 
-ABLATION_KNOBS = ("t_p", "m", "k_max", "t_nb", "neighborhood_size")
+# Ablation knob -> (config section, field, cast of the value).
+ABLATION_KNOBS = {
+    "t_p": ("poison", "t_p", float),
+    "m": ("poison", "m", int),
+    "k_max": ("poison", "k_max", int),
+    "t_nb": ("neighborhood", "t_nb", float),
+    "neighborhood_size": ("neighborhood", "size", int),
+}
 
 
 def _apply_knob(cfg: ExperimentConfig, knob: str, value) -> ExperimentConfig:
+    section, name, cast = ABLATION_KNOBS[knob]
     try:
-        if knob == "t_p":
-            return replace(cfg, poison=replace(cfg.poison, t_p=float(value)))
-        if knob == "m":
-            return replace(cfg, poison=replace(cfg.poison, m=int(value)))
-        if knob == "k_max":
-            return replace(cfg, poison=replace(cfg.poison, k_max=int(value)))
-        if knob == "t_nb":
-            return replace(cfg, neighborhood=replace(cfg.neighborhood, t_nb=float(value)))
-        if knob == "neighborhood_size":
-            return replace(cfg, neighborhood=replace(cfg.neighborhood, size=int(value)))
+        return replace(cfg, **{section: replace(getattr(cfg, section),
+                                                **{name: cast(value)})})
     except ValueError as exc:
         raise ConfigError(f"bad value {value!r} for knob {knob}: {exc}") from None
-    raise ConfigError(f"unknown ablation knob {knob!r}; "
-                      f"expected one of {ABLATION_KNOBS}")
 
 
 def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
                  cache_dir: str | None = None) -> list[dict]:
     """Re-run the game per knob value; the shared cache re-trains only the
-    models whose inputs actually changed."""
+    models whose inputs actually changed. Every value is checked before the
+    first game, so a bad one writes nothing."""
     if knob not in ABLATION_KNOBS:
         raise ConfigError(f"unknown ablation knob {knob!r}; "
-                          f"expected one of {ABLATION_KNOBS}")
+                          f"expected one of {tuple(ABLATION_KNOBS)}")
+    variants = [(value, _apply_knob(cfg, knob, value)) for value in values]
     os.makedirs(out_root, exist_ok=True)
     cache_dir = cache_dir if cache_dir is not None else os.path.join(out_root, "cache")
     rows = []
-    for value in values:
-        variant = _apply_knob(cfg, knob, value)
+    for value, variant in variants:
         out_dir = os.path.join(out_root, f"{knob}_{value}")
         result = run_privacy_game(variant, out_dir, cache_dir)
         for attack in variant.attacks:

@@ -363,6 +363,13 @@ class TestAblation:
         with pytest.raises(hc.ConfigError):
             hr.run_ablation(tiny_config(), "epochs", [1], str(tmp_path / "ab"))
 
+    def test_bad_later_value_rejected_before_any_game(self, tmp_path):
+        # The first value is valid; no game may run before the second fails.
+        out_root = tmp_path / "ab"
+        with pytest.raises(hc.ConfigError, match="'abc'"):
+            hr.run_ablation(tiny_config(), "t_p", ["0.1", "abc"], str(out_root))
+        assert not out_root.exists()
+
 
 class TestCli:
     def test_theory_subcommand(self, capsys):
