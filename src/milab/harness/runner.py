@@ -166,7 +166,11 @@ class TrainerPool:
 
 
 def _make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Attacker pool and held-out evaluation data."""
+    """Attacker pool and held-out evaluation data.
+
+    A ``csv`` dataset has nothing to hold out, so its pool doubles as the
+    evaluation data and ``eval_accuracy`` in ``model_stats.csv`` is accuracy
+    on the training pool."""
     pool = _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_DATASET),
                         cfg.dataset.n_per_class)
     if cfg.dataset.kind == "csv":
