@@ -5,7 +5,10 @@ A rerun of the same code is byte-identical (``TestCriterion10``); these
 digests also pin the bytes against earlier versions of the code, so a change
 meant to be a pure refactor or speed-up that moves one float fails here. The
 digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); another BLAS
-build may round matrix products differently. Besides the batched adaptive
+build may round matrix products differently. Each game pins its scores,
+metrics and neighbourhood diagnostics, the poison plan (replica counts, split
+bits and the cache keys of the shadow models) and the targets' accuracies in
+``model_stats.csv``. Besides the batched adaptive
 game, ``GAME_ARGS`` pins the per-point strict game and the static baseline,
 which reach the neighbourhood stage through their own poison paths. The tiny
 games all train without weight decay, so ``MODELS`` adds two models trained
@@ -26,7 +29,8 @@ from milab.harness import runner as hr
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 
-CHECKED = ("scores.csv", "metrics.csv", "neighborhood_diagnostics.csv")
+CHECKED = ("scores.csv", "metrics.csv", "neighborhood_diagnostics.csv",
+           "poison_plan.json", "model_stats.csv")
 
 
 def _tiny(**overrides) -> hc.ExperimentConfig:
@@ -72,26 +76,36 @@ GOLDEN = {
         "scores.csv": "16d5a319cfd588753c1715c0354d9d8cff0ac69bb9bd7153c20536eb0ea50443",
         "metrics.csv": "91b69930d4cada2bca748947504838f97b98f764b5638f58631c0e622d2daeaa",
         "neighborhood_diagnostics.csv": "ceb67ecbdceb6a53edc324c83c5dd98523ee0fc6b1993e1a94d7eb69de15eecc",
+        "poison_plan.json": "5785400c54955466ada4bdbfa3d700838089b2ad4b294cae76345a0793d5c70b",
+        "model_stats.csv": "c34ac32d2956f2747e6e43a9940352cfd9b0720a9bc28780345250be1c0c6050",
     },
     "binary": {
         "scores.csv": "12ff8c0c5dca0ffc12c01fb8dad84793ec048bb792123aa9648b5d73925e58e7",
         "metrics.csv": "8fb03a8044f2240dcdc47422ca4ded0467e34559ae0100a1a48c656877a6955e",
         "neighborhood_diagnostics.csv": "a694b15462d8271b136cf4a5c2ac825482911e6baf6560126f56712c6cddc286",
+        "poison_plan.json": "d376771a0619ea83744ee55bf7376ec493d9e5890a1b5b76a80da687623d0681",
+        "model_stats.csv": "69c6532a8bcd066a837ec28cec14099821e41ee8a63cb07efee15bd34e7d887e",
     },
     "dp_workers2": {
         "scores.csv": "05f0af6d30bfffe8ecbc82d4f708a121c97a2e008daf4c50de50b9b23e680b53",
         "metrics.csv": "30c27fd1391ef095474cf4b8043e3592193d4f4e92f68b9606bee50c99de1ed7",
         "neighborhood_diagnostics.csv": "2ffe44b7ca69b45902a921253e24f954aeac450977a2d91dd36ac7e4594503d5",
+        "poison_plan.json": "4fec053acd3ae3c515bfdfcc92d1b88fb5aba61d1fad7838f652ddce20efc3b5",
+        "model_stats.csv": "f84c9259f3733be34becfc41c62420ffe9b59e14589f895aa8eab7852f82448a",
     },
     "strict": {
         "scores.csv": "f009e873705f7e6566cd6a9f9c30b60eda1d06c025cbd3d6cabb216389bf12c6",
         "metrics.csv": "ac1a066dceb789f0ac850408df6a898a20cf485128c267968357324de2e36199",
         "neighborhood_diagnostics.csv": "e0abf2f8efae91e99e077d5f49636d3e26c37ca78de76c8b759560f8b6d8a3c9",
+        "poison_plan.json": "2a87843f29923b355f6a936796e72657a66ea172a2234c91135ab36784a3301f",
+        "model_stats.csv": "49585c34c7560cdde57611fd2865e87e310d3c74af87b94bdb9d4f1a903eeffc",
     },
     "static_k2": {
         "scores.csv": "c1dd687decd2d2b830e5ab1307a07ff923a5a10e597216730b492a2b444ec1ab",
         "metrics.csv": "7e54d9950af3b2cd4e06eadb417c54de78b638133e51eec42c2dc8b6430ba79c",
         "neighborhood_diagnostics.csv": "b6743552c2da60b248ad1d8d1fe7ccff2789c58ffd40d3a7a6bf065f18f78d61",
+        "poison_plan.json": "8320ac41c23341d6ed9f86993b75bc87a8048ca500ad6fd4ff8fe28f42a5cb28",
+        "model_stats.csv": "6fafef6457d7e69c8607c3198d1deb370216221fb6c4c941dee82bf4cab5aff1",
     },
 }
 
