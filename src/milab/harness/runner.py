@@ -32,7 +32,7 @@ from ..neighborhood import (NeighborhoodSet, export_diagnostics_csv,
 from ..poisoner import (ChallengeSet, PoisonConfig, PoisonPlan,
                         adapt_poison_single, adapt_poison_multi,
                         build_poisoned_training_set, make_challenge_set,
-                        save_poison_plan, static_plan)
+                        save_poison_plan)
 from ..rng import derive_seed, make_rng
 from .cache import ModelCache, canonical_json, digest, file_digest
 from .config import ConfigError, ExperimentConfig
@@ -143,9 +143,6 @@ class TrainerPool:
         self.workers = workers
         self.keys: list[str] = []
 
-    def one(self, ds: Dataset, seed: int) -> nncore.ModelParams:
-        return self.many([(ds, seed)])[0]
-
     def many(self, jobs: list[tuple[Dataset, int]]) -> list[nncore.ModelParams]:
         cfgs = [replace(self.base_cfg, seed=seed) for _, seed in jobs]
         keys = [self.cache.model_key(ds, cfg, self.hidden)
@@ -200,32 +197,27 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
             trainer: TrainerPool, k_static: int | None, game_strict: bool):
     """Adaptive, static or strict per-point adaptive poisoning.
 
-    Returns the plan, the number of shadow models the attacker trained, and
-    the poison-free IN and OUT ensembles for the neighborhood stage (maps of
-    point position -> model list)."""
+    Returns the plan and the poison-free IN and OUT ensembles for the
+    neighborhood stage (maps of point position -> model list)."""
     if game_strict:
         return _strict_poisoning(cfg, pool, challenges, trainer)
     poison_seed = derive_seed(cfg.master_seed, TAG_POISON)
     if k_static is None:
-        plan = adapt_poison_multi(challenges, pool, cfg.poison, trainer.one,
-                                  seed=poison_seed, batch_trainer=trainer.many)
+        plan = adapt_poison_multi(challenges, pool, cfg.poison, trainer.many, poison_seed)
     else:
         # Static baseline still needs the poison-free shadow ensemble for
         # the neighborhood stage; freezing every point at iteration 0
         # trains exactly the 2m unpoisoned models (shared via the cache
         # with any adaptive run on the same data).
         shadow_cfg = PoisonConfig(t_p=1.0, m=cfg.poison.m, k_max=0)
-        shadow_plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.one,
-                                         seed=poison_seed, batch_trainer=trainer.many)
-        plan = replace(shadow_plan, replica_counts=static_plan(
-            k_static, len(challenges)).replica_counts)
-    iter0 = plan.iteration_models(0)
+        plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.many, poison_seed)
+        plan.replica_counts = np.full(len(challenges), k_static, dtype=np.int64)
+    shadow = plan.shadow_models
     in_models, out_models = {}, {}
     for pos, idx in enumerate(challenges.indices):
-        in_rows = set(plan.split.in_rows(int(idx)).tolist())
-        in_models[pos] = [t.model for t in iter0 if t.subset_row in in_rows]
-        out_models[pos] = [t.model for t in iter0 if t.subset_row not in in_rows]
-    return plan, plan.models_trained, in_models, out_models
+        in_models[pos] = [shadow[row] for row in plan.split.in_rows(int(idx))]
+        out_models[pos] = [shadow[row] for row in plan.split.out_rows(int(idx))]
+    return plan, in_models, out_models
 
 
 def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
@@ -245,7 +237,7 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         seed_i = derive_seed(cfg.master_seed, TAG_STRICT, pos)
         counts[pos] = adapt_poison_single(
             (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
-            trainer.one, seed=seed_i)
+            trainer.many, seed=seed_i)
         models_trained += cfg.poison.m * (int(counts[pos]) + 1)
         # Poison-free ensembles for the neighborhood; OUT seeds coincide with
         # the k=0 iteration above, so the cache supplies those for free.
@@ -257,8 +249,9 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
             [(with_point, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)])
         models_trained += cfg.poison.m
-    plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)))
-    return plan, models_trained, in_models, out_models
+    plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
+                      models_trained=models_trained)
+    return plan, in_models, out_models
 
 
 def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
@@ -296,7 +289,7 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
         assert split.inclusion[:, int(idx)].sum() == half, \
             "challenge membership must be balanced across target models"
     train_sets = [build_poisoned_training_set(pool.subset(np.flatnonzero(row)),
-                                              plan, challenges)
+                                              plan.replica_counts, challenges)
                   for row in split.inclusion]
     seeds = [derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)
              for j in range(cfg.num_target_models)]
@@ -413,11 +406,11 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         challenges = _pick_challenges(cfg, pool)
         _write_challenges(challenges, artifacts["challenges"])
     with _stage("poison", stage_seconds):
-        plan, shadow_models, in_models, out_models = _poison(
-            cfg, pool, challenges, trainer, k_static, game_strict)
-        # The poison stage is the trainer's first user, so its first keys
-        # are those of the plan's shadow models, in plan order.
-        model_refs = [f"models/{key}" for key in trainer.keys[:plan.models_trained]]
+        plan, in_models, out_models = _poison(cfg, pool, challenges, trainer,
+                                              k_static, game_strict)
+        # The poison stage is the trainer's first user, so every key so far
+        # is a shadow model's; a strict game fetches its k=0 OUT models twice.
+        model_refs = [f"models/{key}" for key in dict.fromkeys(trainer.keys)]
         save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs=model_refs)
     with _stage("neighborhood", stage_seconds):
         neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,
@@ -436,7 +429,7 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         _write_metrics_csv(artifacts["metrics"], cfg.attacks, reports, tpr_at_res)
     with _stage("manifest", {}):  # untimed: its files record the stage times
         cost = CostReport(
-            shadow_models=shadow_models,
+            shadow_models=plan.models_trained,
             target_models=cfg.num_target_models,
             queries_per_challenge={a: cfg.neighborhood.size + 1 if a == CHAMELEON else 1
                                    for a in cfg.attacks},

@@ -22,8 +22,9 @@ import numpy as np
 from .datagen import Dataset, SplitPlan, make_split_plan
 from .rng import derive_seed
 
-# Trainer seam: (training set, model seed) -> model exposing predict_proba.
-TrainerFn = Callable[[Dataset, int], Any]
+# Trainer seam: a list of (training set, model seed) jobs -> one model per
+# job, in job order; each model exposes predict_proba.
+TrainerFn = Callable[[list[tuple[Dataset, int]]], list[Any]]
 
 
 @dataclass(frozen=True)
@@ -75,35 +76,22 @@ def make_challenge_set(dataset: Dataset, indices, label_shift: int = 1) -> Chall
 
 
 @dataclass
-class TaggedModel:
-    """Shadow model tagged with its adaptive iteration and split-plan row."""
-
-    model: Any
-    iteration: int
-    subset_row: int
-
-
-@dataclass
 class PoisonPlan:
-    """Replica counts chosen by the adaptive loop, plus every shadow model
-    trained along the way (iteration 0 models carry no poison)."""
+    """Replica counts chosen by the adaptive loop, how many shadow models it
+    trained, and the poison-free ones of iteration 0: ``shadow_models[row]``
+    was trained on split row ``row``."""
 
     replica_counts: np.ndarray
     iterations_run: int            # index of the last executed iteration
-    models: list[TaggedModel] = field(default_factory=list)
+    models_trained: int = 0
+    shadow_models: list[Any] = field(default_factory=list)
     split: SplitPlan | None = None
 
-    @property
-    def models_trained(self) -> int:
-        return len(self.models)
 
-    def iteration_models(self, iteration: int) -> list[TaggedModel]:
-        return [t for t in self.models if t.iteration == iteration]
-
-
-def _append_replicas(base: Dataset, counts: np.ndarray,
-                     challenges: ChallengeSet) -> Dataset:
+def build_poisoned_training_set(base: Dataset, counts,
+                                challenges: ChallengeSet) -> Dataset:
     """Base dataset plus counts[i] copies of (x_i, y'_i), ascending index."""
+    counts = np.asarray(counts)
     if len(counts) != len(challenges):
         raise ValueError("replica counts misaligned with challenge set")
     if not np.any(counts):
@@ -114,20 +102,15 @@ def _append_replicas(base: Dataset, counts: np.ndarray,
     return Dataset(feats, labels, base.num_classes)
 
 
-def build_poisoned_training_set(base: Dataset, plan: PoisonPlan,
-                                challenges: ChallengeSet) -> Dataset:
-    """Append plan.replica_counts[i] poisoned replicas per challenge point."""
-    return _append_replicas(base, np.asarray(plan.replica_counts), challenges)
-
-
 def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
-                        d_adv: Dataset, cfg: PoisonConfig, trainer: TrainerFn,
+                        d_adv: Dataset, cfg: PoisonConfig, train: TrainerFn,
                         seed: int = 0) -> int:
     """Adaptive replica count for one challenge point (not in d_adv).
 
     For k = 0..k_max, trains m OUT models on d_adv plus k poisoned replicas
-    and returns the first k whose mean OUT confidence on the true label is at
-    most t_p, or k_max when no count reaches the threshold.
+    in one ``train`` call and returns the first k whose mean OUT confidence
+    on the true label is at most t_p, or k_max when no count reaches the
+    threshold.
     """
     x, y = challenge
     x = np.asarray(x, dtype=np.float64)
@@ -144,16 +127,15 @@ def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
             labels = np.concatenate([d_adv.labels,
                                      np.full(k, poisoned_label, dtype=np.int64)])
             train_set = Dataset(feats, labels, d_adv.num_classes)
-        confs = [trainer(train_set, derive_seed(seed, k, j)).predict_proba(x)[y]
-                 for j in range(cfg.m)]
-        if float(np.mean(confs)) <= cfg.t_p:
+        models = train([(train_set, derive_seed(seed, k, j)) for j in range(cfg.m)])
+        if float(np.mean([model.predict_proba(x)[y] for model in models])) <= cfg.t_p:
             return k
     return cfg.k_max
 
 
 def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
-                       cfg: PoisonConfig, trainer: TrainerFn,
-                       seed: int = 0, batch_trainer=None) -> PoisonPlan:
+                       cfg: PoisonConfig, train: TrainerFn,
+                       seed: int = 0) -> PoisonPlan:
     """Adaptive replica counts for a set of challenge points.
 
     Builds 2m half-splits of d_adv with balanced challenge membership, then
@@ -161,15 +143,16 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     poisoned replicas, measure each unfrozen point's mean confidence over its
     m OUT models, freeze it once the mean reaches t_p and otherwise increment
     its counter.  Stops when all points are frozen or after iteration k_max;
-    counters are capped at k_max.  All trained models are returned, tagged by
-    iteration and split row.
+    counters are capped at k_max.  Only iteration 0's poison-free models are
+    kept; each later iteration's are dropped once probed.
     """
     n_c = len(challenges)
     split = make_split_plan(len(d_adv), challenges.indices, 2 * cfg.m,
                             derive_seed(seed, 0))
     counts = np.zeros(n_c, dtype=np.int64)
     frozen = np.zeros(n_c, dtype=bool)
-    tagged: list[TaggedModel] = []
+    shadow_models: list[Any] = []
+    models_trained = 0
     out_rows = [split.out_rows(int(i)) for i in challenges.indices]
     for rows in out_rows:
         assert len(rows) == cfg.m, "split plan must give m OUT models per point"
@@ -177,21 +160,19 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     iterations_run = 0
     for iteration in range(cfg.k_max + 1):
         iterations_run = iteration
-        poisoned = _append_replicas(d_adv, counts, challenges)
+        poisoned = build_poisoned_training_set(d_adv, counts, challenges)
         extra = np.arange(len(d_adv), len(poisoned))
         jobs = []
         for row in range(2 * cfg.m):
             subset_idx = np.flatnonzero(split.inclusion[row])
             train_set = poisoned.subset(np.concatenate([subset_idx, extra]))
             jobs.append((train_set, derive_seed(seed, 1 + iteration, row)))
-        # The 2m trainings inside one iteration are independent; a batch
-        # trainer may fan them out, iterations stay sequential.
-        if batch_trainer is not None:
-            models = list(batch_trainer(jobs))
-        else:
-            models = [trainer(ts, s) for ts, s in jobs]
-        for row, model in enumerate(models):
-            tagged.append(TaggedModel(model, iteration, row))
+        # The 2m trainings inside one iteration are independent; the trainer
+        # may fan them out, iterations stay sequential.
+        models = train(jobs)
+        models_trained += len(models)
+        if iteration == 0:
+            shadow_models = models
         for i in range(n_c):
             if frozen[i]:
                 continue
@@ -207,15 +188,8 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
 
     np.minimum(counts, cfg.k_max, out=counts)
     return PoisonPlan(replica_counts=counts, iterations_run=iterations_run,
-                      models=tagged, split=split)
-
-
-def static_plan(k: int, num_points: int) -> PoisonPlan:
-    """Fixed-k plan for the static-poisoning baseline (no models attached)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return PoisonPlan(replica_counts=np.full(num_points, k, dtype=np.int64),
-                      iterations_run=0)
+                      models_trained=models_trained, shadow_models=shadow_models,
+                      split=split)
 
 
 def save_poison_plan(plan: PoisonPlan, challenges: ChallengeSet, path: str,

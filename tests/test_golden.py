@@ -97,7 +97,7 @@ GOLDEN = {
         "scores.csv": "f009e873705f7e6566cd6a9f9c30b60eda1d06c025cbd3d6cabb216389bf12c6",
         "metrics.csv": "ac1a066dceb789f0ac850408df6a898a20cf485128c267968357324de2e36199",
         "neighborhood_diagnostics.csv": "e0abf2f8efae91e99e077d5f49636d3e26c37ca78de76c8b759560f8b6d8a3c9",
-        "poison_plan.json": "2a87843f29923b355f6a936796e72657a66ea172a2234c91135ab36784a3301f",
+        "poison_plan.json": "1833a6f322f04a3130dd7c524bb73722aaf25759cead5b472c356ef6bbb5a17c",
         "model_stats.csv": "49585c34c7560cdde57611fd2865e87e310d3c74af87b94bdb9d4f1a903eeffc",
     },
     "static_k2": {

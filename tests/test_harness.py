@@ -111,7 +111,7 @@ class TestModelCache:
         cache = hcache.ModelCache(str(tmp_path))
         trainer = hr.TrainerPool(TrainConfig(epochs=4, learning_rate=0.1, batch_size=8),
                                  (8,), cache)
-        first = trainer.one(ds, 7)
+        first = trainer.many([(ds, 7)])[0]
         again, _ = trainer.many([(ds, 7), (ds, 8)])
         assert cache.hits == 1 and cache.misses == 2
         assert trainer.keys[0] == trainer.keys[1] != trainer.keys[2]
@@ -246,10 +246,14 @@ class TestPrivacyGame:
                 == (tmp_path / "b" / "metrics.csv").read_bytes())
 
     def test_worker_pool_does_not_change_results(self, tmp_path):
-        serial = hr.run_privacy_game(tiny_config(workers=1), str(tmp_path / "s"))
-        parallel = hr.run_privacy_game(tiny_config(workers=2), str(tmp_path / "p"))
-        assert ((tmp_path / "s" / "metrics.csv").read_bytes()
-                == (tmp_path / "p" / "metrics.csv").read_bytes())
+        # The strict game's per-point adaptive loop trains through the pool too.
+        for strict in (False, True):
+            serial, parallel = tmp_path / f"s{strict}", tmp_path / f"p{strict}"
+            hr.run_privacy_game(tiny_config(workers=1), str(serial), game_strict=strict)
+            hr.run_privacy_game(tiny_config(workers=2), str(parallel), game_strict=strict)
+            for name in ("scores.csv", "metrics.csv", "poison_plan.json"):
+                assert (serial / name).read_bytes() == (parallel / name).read_bytes(), \
+                    (strict, name)
 
     def test_static_zero_equals_no_poisoning_pipeline(self, tmp_path):
         cfg = tiny_config()
@@ -297,12 +301,16 @@ class TestPrivacyGame:
             assert sum(truths) == 3, f"point {point} not balanced"
 
     def test_poison_plan_references_model_files(self, tmp_path):
-        out = tmp_path / "run"
-        hr.run_privacy_game(tiny_config(), str(out))
-        plan = json.loads((out / "poison_plan.json").read_text())
-        assert plan["models"], "plan should reference trained shadow models"
-        for ref in plan["models"]:
-            assert (out / "cache" / (ref + ".bin")).exists()
+        # One ref per shadow model on every poison path: adaptive, static, strict.
+        for name, kwargs in (("adaptive", {}), ("static", {"k_static": 2}),
+                             ("strict", {"game_strict": True})):
+            out = tmp_path / name
+            hr.run_privacy_game(tiny_config(), str(out), **kwargs)
+            plan = json.loads((out / "poison_plan.json").read_text())
+            cost = json.loads((out / "cost.json").read_text())
+            assert len(plan["models"]) == cost["shadow_models"] > 0, name
+            for ref in plan["models"]:
+                assert (out / "cache" / (ref + ".bin")).exists(), (name, ref)
 
     def test_stage_failure_names_the_stage(self, tmp_path):
         csv_path = tmp_path / "data.csv"

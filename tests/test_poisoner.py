@@ -36,9 +36,9 @@ class StubTrainer:
         self.schedules = schedules
         self.models_trained = 0
 
-    def __call__(self, train_set, seed):
-        self.models_trained += 1
-        return ReplicaCountingModel(train_set, self.schedules)
+    def __call__(self, jobs):
+        self.models_trained += len(jobs)
+        return [ReplicaCountingModel(train_set, self.schedules) for train_set, _ in jobs]
 
 
 def base_dataset(n=20, dim=3, num_classes=4, seed=0):
@@ -188,9 +188,11 @@ class TestAdaptPoisonMulti:
         plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
         for idx in (3, 20):
             assert plan.split.inclusion[:, idx].sum() == 4
-        iter0 = plan.iteration_models(0)
-        assert len(iter0) == 8
-        assert [t.subset_row for t in iter0] == list(range(8))
+        assert len(plan.shadow_models) == 8
+        for row, model in enumerate(plan.shadow_models):
+            subset = np.flatnonzero(plan.split.inclusion[row])
+            np.testing.assert_array_equal(model.train_set.features,
+                                          d_adv.features[subset])
 
     def test_iteration_zero_models_carry_no_poison(self):
         d_adv = base_dataset(n=10, seed=7)
@@ -200,8 +202,8 @@ class TestAdaptPoisonMulti:
         cfg = po.PoisonConfig(t_p=0.15, m=2, k_max=2)
         plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
         y_p = int(challenges.poisoned_labels[0])
-        for tagged in plan.iteration_models(0):
-            ts = tagged.model.train_set
+        for model in plan.shadow_models:
+            ts = model.train_set
             matches = (ts.features == challenges.features[0]).all(axis=1)
             assert int(np.sum(matches & (ts.labels == y_p))) == 0
 
@@ -210,16 +212,14 @@ class TestBuildPoisonedTrainingSet:
     def test_zero_counts_is_identity(self):
         ds = base_dataset(n=8)
         challenges = po.make_challenge_set(ds, [1, 3])
-        plan = po.static_plan(0, 2)
-        out = po.build_poisoned_training_set(ds, plan, challenges)
+        out = po.build_poisoned_training_set(ds, np.zeros(2, dtype=np.int64), challenges)
         assert np.array_equal(out.features, ds.features)
         assert np.array_equal(out.labels, ds.labels)
 
     def test_single_point_appends_replicas(self):
         ds = base_dataset(n=8)
         challenges = po.make_challenge_set(ds, [2])
-        plan = po.PoisonPlan(np.array([3]), 0)
-        out = po.build_poisoned_training_set(ds, plan, challenges)
+        out = po.build_poisoned_training_set(ds, np.array([3]), challenges)
         assert len(out) == 11
         y_p = challenges.poisoned_labels[0]
         assert np.all(out.labels[8:] == y_p)
@@ -228,8 +228,7 @@ class TestBuildPoisonedTrainingSet:
     def test_replicas_grouped_in_ascending_index_order(self):
         ds = base_dataset(n=6)
         challenges = po.make_challenge_set(ds, [0, 4])
-        plan = po.PoisonPlan(np.array([1, 2]), 0)
-        out = po.build_poisoned_training_set(ds, plan, challenges)
+        out = po.build_poisoned_training_set(ds, np.array([1, 2]), challenges)
         assert len(out) == 9
         np.testing.assert_array_equal(out.features[6], challenges.features[0])
         np.testing.assert_array_equal(out.features[7], challenges.features[1])
@@ -239,7 +238,7 @@ class TestBuildPoisonedTrainingSet:
         ds = base_dataset(n=6)
         challenges = po.make_challenge_set(ds, [0, 4])
         with pytest.raises(ValueError):
-            po.build_poisoned_training_set(ds, po.static_plan(1, 3), challenges)
+            po.build_poisoned_training_set(ds, np.ones(3, dtype=np.int64), challenges)
 
 
 class TestChallengeSet:
