@@ -62,7 +62,6 @@ class SplitPlan:
     """
 
     inclusion: np.ndarray
-    challenge_indices: tuple[int, ...] = ()
 
     @property
     def num_models(self) -> int:
@@ -131,7 +130,7 @@ def make_split_plan(n_points: int, challenge_indices, num_models: int,
         col = np.zeros(num_models, dtype=bool)
         col[gen.permutation(num_models)[:half]] = True
         inclusion[:, i] = col
-    return SplitPlan(inclusion, tuple(challenge_indices))
+    return SplitPlan(inclusion)
 
 
 def gen_neighbors(x: np.ndarray, modality: str, count: int,

@@ -98,10 +98,13 @@ def auc(scores_in, scores_out) -> float:
     return float(u / (s_in.size * s_out.size))
 
 
+def _best_balanced_accuracy(curve: RocCurve) -> float:
+    return float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0))
+
+
 def mi_accuracy(scores_in, scores_out) -> float:
     """Best balanced accuracy (TPR + TNR)/2 over the threshold sweep."""
-    curve = roc_curve(scores_in, scores_out)
-    return float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0))
+    return _best_balanced_accuracy(roc_curve(scores_in, scores_out))
 
 
 def compute_report(scores_in, scores_out,
@@ -120,7 +123,7 @@ def compute_report(scores_in, scores_out,
     return MetricReport(
         tpr_at={float(t): tpr_at_fpr(curve, t) for t in fpr_targets},
         auc=auc(s_in, s_out),
-        mi_accuracy=float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0)),
+        mi_accuracy=_best_balanced_accuracy(curve),
         n_in=s_in.size,
         n_out=s_out.size,
         fpr_resolution=resolution,
