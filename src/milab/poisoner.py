@@ -88,10 +88,9 @@ class PoisonPlan:
     split: SplitPlan | None = None
 
 
-def build_poisoned_training_set(base: Dataset, counts,
+def build_poisoned_training_set(base: Dataset, counts: np.ndarray,
                                 challenges: ChallengeSet) -> Dataset:
     """Base dataset plus counts[i] copies of (x_i, y'_i), ascending index."""
-    counts = np.asarray(counts)
     if len(counts) != len(challenges):
         raise ValueError("replica counts misaligned with challenge set")
     if not np.any(counts):
