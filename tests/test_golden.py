@@ -1,4 +1,4 @@
-"""Golden digests: the sha256 of a run's deterministic artifacts and of two
+"""Golden digests: the sha256 of a run's deterministic artifacts and of four
 trained models' parameter blobs, pinned across code versions.
 
 A rerun of the same code is byte-identical (``TestCriterion10``); these
@@ -11,9 +11,11 @@ bits and the cache keys of the shadow models) and the targets' accuracies in
 ``model_stats.csv``. Besides the batched adaptive
 game, ``GAME_ARGS`` pins the per-point strict game and the static baseline,
 which reach the neighbourhood stage through their own poison paths. The tiny
-games all train without weight decay, so ``MODELS`` adds two models trained
+games all train without weight decay, so ``MODELS`` adds four models trained
 directly with ``nncore.train``: one with weight decay, two hidden layers and
-a ragged last batch, and one with DP-SGD noise. After an intended output change,
+a ragged last batch; one with DP-SGD noise; one with DP-SGD noise, two hidden
+layers and a ragged last batch; and one whose every step is a single batch
+shorter than ``batch_size``. After an intended output change,
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
@@ -111,18 +113,25 @@ GOLDEN = {
 
 
 # (dataset seed, hidden sizes, training config). 44 points in batches of 16
-# leave a last batch of 12.
+# leave a last batch of 12; in batches of 64 every step is that short batch.
 MODELS = {
     "decay_ragged": (5, (16, 8), TrainConfig(epochs=6, learning_rate=0.1, weight_decay=1e-4,
                                              batch_size=16, seed=7)),
     "dp_noise": (6, (16,), TrainConfig(epochs=5, learning_rate=0.1, weight_decay=1e-3,
                                        batch_size=16, seed=8,
                                        dp=DpConfig(clip_norm=1.0, noise_multiplier=0.5))),
+    "dp_deep": (7, (16, 8), TrainConfig(epochs=5, learning_rate=0.1, weight_decay=1e-3,
+                                        batch_size=16, seed=9,
+                                        dp=DpConfig(clip_norm=1.0, noise_multiplier=0.5))),
+    "one_batch": (8, (16,), TrainConfig(epochs=6, learning_rate=0.1, weight_decay=1e-4,
+                                        batch_size=64, seed=10)),
 }
 
 GOLDEN_MODELS = {
     "decay_ragged": "d443d4709de42958384e3f4473b3027f70d7cf41d0b8cabd8c50b21c2c4f9b6a",
     "dp_noise": "3e04d473fa090254b89349ea003121352142cd9d70c0365813ac23194a3bfce7",
+    "dp_deep": "62eb1cada5ea4f77af9e5f18769773aa23e2efe6e6a576f78adb8b97f497dfab",
+    "one_batch": "9293edc9b7099d98dc0500eb158de22556c46d98d12f51377e32e1736e152e60",
 }
 
 

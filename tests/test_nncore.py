@@ -47,11 +47,14 @@ class TestTraining:
             Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2)
 
     def test_divergence_raises(self):
+        # The step that first sees a non-finite loss is part of the contract.
         ds = gen_gaussian_mixture(3, 5, 10, 2.0, seed=1)
         huge = Dataset(ds.features * 1e8, ds.labels, 3)
-        cfg = nn.TrainConfig(epochs=5, learning_rate=1e9, batch_size=8, seed=0)
-        with pytest.raises(nn.NonFiniteLossError):
-            nn.train(huge, cfg, hidden_sizes=(8,))
+        for lr, where in ((1e9, "epoch 2, step 2"), (1e3, "epoch 3, step 2")):
+            cfg = nn.TrainConfig(epochs=5, learning_rate=lr, batch_size=8, seed=0)
+            with pytest.raises(nn.NonFiniteLossError,
+                               match=f"^non-finite loss at {where}$"):
+                nn.train(huge, cfg, hidden_sizes=(8,))
 
     def test_weight_decay_only_step_shrinks_exactly(self):
         gen = np.random.default_rng(2)
