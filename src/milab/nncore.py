@@ -14,7 +14,6 @@ plain SGD step exactly (same contractions, same rounding).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -148,9 +147,24 @@ def _param_views(flat: np.ndarray, dims) -> LayerList:
     return layers
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of the logits ``z``, in place; returns the row
+    sums it divided by, shape [rows, 1].
+
+    A row sum lies in [1, C] when the row is finite. It is NaN exactly when
+    the row holds a NaN or +inf, or is all -inf, which is exactly when the
+    row's cross-entropy ``-log(max(p_y, 1e-300))`` is non-finite. Calls the
+    ufuncs' reductions directly; ``max``/``sum`` wrap the same ones."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    row_sums = np.add.reduce(z, axis=1, keepdims=True)
+    z /= row_sums
+    return row_sums
+
+
 def _forward_acts(layers: LayerList, X: np.ndarray):
-    """Each layer's input plus the softmax output, each in its own buffer
-    (the hidden ones computed in place)."""
+    """Each layer's input, the softmax output and its row sums, each in its
+    own buffer (the hidden ones computed in place)."""
     acts = [X]
     h = X
     for w, b in layers[:-1]:
@@ -161,10 +175,7 @@ def _forward_acts(layers: LayerList, X: np.ndarray):
     w, b = layers[-1]
     z = h @ w.T
     z += b
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return acts, z
+    return acts, z, _softmax(z)
 
 
 def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
@@ -175,27 +186,19 @@ def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
     return _forward_acts(layers, X)[1]
 
 
-@functools.lru_cache(maxsize=64)
-def _arange(n: int) -> np.ndarray:
-    """``np.arange(n)``, shared between calls, so read-only."""
-    idx = np.arange(n)
-    idx.flags.writeable = False
-    return idx
+def _forward_backward(layers: LayerList, X: np.ndarray, Y: np.ndarray):
+    """Shared forward/backward pass for training; ``Y`` holds the labels as
+    one-hot rows.
 
-
-def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
-    """Shared forward/backward pass for training.
-
-    Returns (activations, deltas, loss_sum) where ``activations[l]`` is the
-    input to layer l and ``deltas[l]`` the per-example error at layer l of the
+    Returns (activations, deltas, row_sums) where ``activations[l]`` is the
+    input to layer l, ``deltas[l]`` the per-example error at layer l of the
     *summed* cross-entropy loss (no 1/B factor; callers scale after
-    contraction so the plain and DP paths share bitwise-identical GEMMs).
+    contraction so the plain and DP paths share bitwise-identical GEMMs) and
+    ``row_sums`` the softmax's, whose sum is finite exactly when the loss is.
     The output delta is the softmax buffer itself.
     """
-    acts, d = _forward_acts(layers, X)
-    idx = _arange(X.shape[0])
-    loss_sum = -np.log(np.maximum(d[idx, y], 1e-300)).sum()
-    d[idx, y] -= 1.0
+    acts, d, row_sums = _forward_acts(layers, X)
+    d -= Y  # x - 0.0 == x, so only the label entries change
     deltas = [d]
     for l in range(len(layers) - 1, 0, -1):
         d = d @ layers[l][0]
@@ -204,50 +207,52 @@ def _forward_backward(layers: LayerList, X: np.ndarray, y: np.ndarray):
         d *= acts[l] > 0
         deltas.append(d)
     deltas.reverse()
-    return acts, deltas, loss_sum
+    return acts, deltas, row_sums
 
 
 def _contract_grads(acts, deltas, grads: LayerList, weights: np.ndarray | None = None) -> None:
     """Summed gradients per layer, written into ``grads``' (W, b) views;
-    ``weights`` optionally scales each example's delta."""
+    ``weights`` optionally scales each example's delta, in place."""
     for a, d, (gw, gb) in zip(acts, deltas, grads):
         if weights is not None:
-            d = weights[:, None] * d
+            d *= weights[:, None]
         np.matmul(d.T, a, out=gw)
         np.add.reduce(d, axis=0, out=gb)
 
 
 def mean_loss(layers: LayerList, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy over a batch (used by finite-difference checks)."""
-    _, _, loss_sum = _forward_backward(layers, X, y)
-    return loss_sum / X.shape[0]
+    p_y = forward(layers, X)[np.arange(X.shape[0]), y]
+    return -np.log(np.maximum(p_y, 1e-300)).sum() / X.shape[0]
 
 
 def mean_grads(layers: LayerList, X: np.ndarray, y: np.ndarray) -> LayerList:
     """Analytic gradient of the mean cross-entropy over a batch."""
-    acts, deltas, _ = _forward_backward(layers, X, y)
+    acts, deltas, _ = _forward_backward(layers, X, np.eye(layers[-1][0].shape[0])[y])
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     _contract_grads(acts, deltas, grads)
     n = X.shape[0]
     return [(gw / n, gb / n) for gw, gb in grads]
 
 
-def _clip_factors(acts, deltas, clip_norm: float) -> np.ndarray:
+def _clip_factors(acts, deltas, clip_norm: float, in_sq: np.ndarray) -> np.ndarray:
     """Per-example factors min(1, clip_norm / ||g_i||) for one DP-SGD step.
 
     Per-example gradient norms follow from the outer-product structure of
     dense layers: ||dW_i||_F = ||delta_i|| * ||a_i||, so the full-parameter
     norm is sqrt(sum_l ||delta_{l,i}||^2 (1 + ||a_{l-1,i}||^2)) without
-    materialising per-example gradients.
+    materialising per-example gradients. ``in_sq`` is that last factor for
+    the input layer, ``1.0 + (X * X).sum(axis=1)``, which the caller
+    computes once for the whole dataset.
     """
-    sq = None
-    for a, d in zip(acts, deltas):
-        term = (d * d).sum(axis=1) * (1.0 + (a * a).sum(axis=1))
-        sq = term if sq is None else sq + term
+    d = deltas[0]
+    sq = (d * d).sum(axis=1) * in_sq
+    for a, d in zip(acts[1:], deltas[1:]):
+        sq += (d * d).sum(axis=1) * (1.0 + (a * a).sum(axis=1))
     norms = np.sqrt(sq)
     factors = np.minimum(1.0, np.divide(
         clip_norm, norms, out=np.ones_like(norms), where=norms > 0))
-    assert np.all(norms * factors <= clip_norm * (1 + 1e-9)), \
+    assert (norms * factors <= clip_norm * (1 + 1e-9)).all(), \
         "clipped per-example gradient exceeds clip_norm"
     return factors
 
@@ -305,27 +310,34 @@ def train(dataset, config: TrainConfig,
     noise = np.empty_like(params) if dp is not None and dp.noise_multiplier > 0 else None
 
     X = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    Y = np.eye(dataset.num_classes)[np.asarray(dataset.labels, dtype=np.int64)]
+    # A per-row reduction along the contiguous axis: gathering it per epoch
+    # gives the bits of computing it per batch.
+    in_sq = None if dp is None else 1.0 + (X * X).sum(axis=1)
     n, batch = X.shape[0], config.batch_size
     gen = make_rng(config.seed, 1)
-    # Overflow surfaces as a non-finite loss; keep the check as the single
-    # divergence signal instead of numpy warnings.
+    # Overflow surfaces as a non-finite row sum; keep the check as the
+    # single divergence signal instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = gen.permutation(n)
-            X_epoch, y_epoch = X[order], y[order]
+            X_epoch, Y_epoch = X[order], Y[order]
+            in_sq_epoch = None if dp is None else in_sq[order]
             for step, start in enumerate(range(0, n, batch)):
-                xb, yb = X_epoch[start:start + batch], y_epoch[start:start + batch]
-                acts, deltas, loss_sum = _forward_backward(layers, xb, yb)
-                if not math.isfinite(loss_sum):
+                stop = start + batch
+                xb = X_epoch[start:stop]
+                acts, deltas, row_sums = _forward_backward(layers, xb, Y_epoch[start:stop])
+                # Finite exactly when the summed cross-entropy is.
+                if not math.isfinite(np.add.reduce(row_sums, axis=None)):
                     raise NonFiniteLossError(f"non-finite loss at epoch {epoch}, step {step}")
-                factors = None if dp is None else _clip_factors(acts, deltas, dp.clip_norm)
+                factors = None if dp is None else _clip_factors(
+                    acts, deltas, dp.clip_norm, in_sq_epoch[start:stop])
                 _contract_grads(acts, deltas, grads, factors)
                 if noise is not None:
                     gen.standard_normal(out=noise)
                     noise *= dp.noise_multiplier * dp.clip_norm
                     grad += noise
-                _apply_update(params, grad, decay, 1.0 / len(yb), lr)
+                _apply_update(params, grad, decay, 1.0 / len(xb), lr)
     return ModelParams(_param_views(params.astype(np.float32), dims))
 
 

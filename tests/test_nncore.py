@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milab import nncore as nn
 from milab.datagen import Dataset, gen_gaussian_mixture
@@ -71,6 +73,38 @@ class TestTraining:
             assert np.array_equal(b2, b)
 
 
+LOGIT = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-50, 50),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def logit_batches(draw):
+    """Logit rows mixing finite values, +-inf and NaN, with a label each."""
+    c = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(st.lists(LOGIT, min_size=c, max_size=c),
+                                   st.integers(0, c - 1)), min_size=1, max_size=6))
+    return (np.array([z for z, _ in rows], dtype=np.float64),
+            np.array([y for _, y in rows], dtype=np.int64))
+
+
+class TestFiniteness:
+    @given(logit_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_row_sums_flag_exactly_the_non_finite_losses(self, batch):
+        z, y = batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = z.copy()
+            row_sums = nn._softmax(p)
+            flagged = not math.isfinite(np.add.reduce(row_sums, axis=None))
+            # The softmax and summed cross-entropy written out with the
+            # ndarray methods.
+            ref = np.exp(z - z.max(axis=1, keepdims=True))
+            ref /= ref.sum(axis=1, keepdims=True)
+            loss = -np.log(np.maximum(ref[np.arange(len(y)), y], 1e-300)).sum()
+        assert np.array_equal(p, ref, equal_nan=True)
+        assert flagged == (not math.isfinite(loss))
+
+
 class TestDpMode:
     def test_zero_noise_large_clip_matches_plain_sgd_bitwise(self):
         ds = gen_gaussian_mixture(3, 5, 20, 2.0, seed=1)
@@ -85,15 +119,17 @@ class TestDpMode:
         gen = np.random.default_rng(5)
         layers = random_layers(gen, [4, 6, 3])
         X = gen.normal(0, 1, (7, 4))
-        y = gen.integers(0, 3, 7)
-        acts, deltas, _ = nn._forward_backward(layers, X, y)
+        Y = np.eye(3)[gen.integers(0, 3, 7)]
+        acts, deltas, _ = nn._forward_backward(layers, X, Y)
         dp = nn.DpConfig(clip_norm=0.7)
         got = zero_grads(layers)
-        nn._contract_grads(acts, deltas, got, nn._clip_factors(acts, deltas, dp.clip_norm))
+        in_sq = 1.0 + (X * X).sum(axis=1)
+        nn._contract_grads(acts, deltas, got,
+                           nn._clip_factors(acts, deltas, dp.clip_norm, in_sq))
 
         expected = zero_grads(layers)
         for i in range(7):
-            a_i, d_i, _ = nn._forward_backward(layers, X[i:i + 1], y[i:i + 1])
+            a_i, d_i, _ = nn._forward_backward(layers, X[i:i + 1], Y[i:i + 1])
             g_i = zero_grads(layers)
             nn._contract_grads(a_i, d_i, g_i)
             flat = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()])
