@@ -235,14 +235,18 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         x = challenges.features[pos]
         y = int(challenges.labels[pos])
         seed_i = derive_seed(cfg.master_seed, TAG_STRICT, pos)
+
+        def train_out(jobs):
+            models = trainer.many(jobs)
+            # The first call trains k = 0: the poison-free OUT ensemble the
+            # neighborhood stage needs.
+            out_models.setdefault(pos, models)
+            return models
+
         counts[pos] = adapt_poison_single(
             (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
-            trainer.many, seed=seed_i)
+            train_out, seed=seed_i)
         models_trained += cfg.poison.m * (int(counts[pos]) + 1)
-        # Poison-free ensembles for the neighborhood; OUT seeds coincide with
-        # the k=0 iteration above, so the cache supplies those for free.
-        out_models[pos] = trainer.many(
-            [(d_i, derive_seed(seed_i, 0, j)) for j in range(cfg.poison.m)])
         with_point = Dataset(np.concatenate([d_i.features, x[None, :]]),
                              np.concatenate([d_i.labels, [y]]), pool.num_classes)
         in_models[pos] = trainer.many(
@@ -409,8 +413,8 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         plan, in_models, out_models = _poison(cfg, pool, challenges, trainer,
                                               k_static, game_strict)
         # The poison stage is the trainer's first user, so every key so far
-        # is a shadow model's; a strict game fetches its k=0 OUT models twice.
-        model_refs = [f"models/{key}" for key in dict.fromkeys(trainer.keys)]
+        # is a shadow model's.
+        model_refs = [f"models/{key}" for key in trainer.keys]
         save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs=model_refs)
     with _stage("neighborhood", stage_seconds):
         neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,

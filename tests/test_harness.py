@@ -274,6 +274,13 @@ class TestPrivacyGame:
         assert len(result.replica_counts) == 2
         assert all(0 <= k <= cfg.poison.k_max for k in result.replica_counts)
 
+    def test_cold_strict_game_loads_no_model(self, tmp_path):
+        # Every model of a cold game is trained once and never read back.
+        cost = hr.run_privacy_game(tiny_config(), str(tmp_path / "strict"),
+                                   game_strict=True).cost
+        assert (cost.cache_hits, cost.cache_misses) == (
+            0, cost.shadow_models + cost.target_models)
+
     def test_cost_formula_on_exhausted_run(self, tmp_path):
         # Weak models never push confidence below a tiny threshold, so the
         # loop exhausts and trains the full 2(k_max+1)m shadow set.
