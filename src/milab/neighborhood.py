@@ -11,7 +11,6 @@ used here carry no poison.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -140,17 +139,19 @@ def export_diagnostics_csv(path: str, per_point: dict[int, NeighborhoodSet],
 
     ``candidate_pools`` maps each point to its candidates' features, one row
     per candidate. A candidate's hash is the first 16 hex digits of the
-    sha256 of its row as little-endian float64."""
+    sha256 of its row as little-endian float64.
+
+    Rows are written as one string in ``csv.writer``'s default dialect: no
+    field holds a comma, quote or line break, so none is quoted, and each
+    row ends in its "\\r\\n" terminator."""
+    lines = ["challenge_index,candidate_hash,kl_in,kl_out,admitted,selected\r\n"]
+    for point in sorted(per_point):
+        pool = np.asarray(candidate_pools[point], dtype="<f8")
+        data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
+        hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
+                  for i in range(0, len(data), width)]
+        lines += [f"{point},{hashes[d.index]},{d.kl_in!r},{d.kl_out!r},"
+                  f"{d.admitted:d},{d.selected:d}\r\n"
+                  for d in per_point[point].diagnostics]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["challenge_index", "candidate_hash", "kl_in", "kl_out",
-                         "admitted", "selected"])
-        for point in sorted(per_point):
-            pool = np.asarray(candidate_pools[point], dtype="<f8")
-            data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
-            hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
-                      for i in range(0, len(data), width)]
-            writer.writerows(
-                [point, hashes[d.index], repr(d.kl_in), repr(d.kl_out),
-                 int(d.admitted), int(d.selected)]
-                for d in per_point[point].diagnostics)
+        f.write("".join(lines))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -273,3 +274,29 @@ class TestExport:
         # Each row hashes its own candidate's float64 bytes.
         assert [line.split(",")[1] for line in lines[1:]] == [
             hashlib.sha256(row.astype("<f8").tobytes()).hexdigest()[:16] for row in cands]
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # Reference: the same rows through csv.writer, extreme floats included.
+        gen = np.random.default_rng(4)
+        kls = [0.0, -0.0, 5e-324, 1e300, math.inf, math.nan, 0.1, 1 / 3]
+        per_point, pools = {}, {}
+        for point in (7, 2):
+            pools[point] = gen.normal(0, 1, (len(kls), 3))
+            diags = [nb.CandidateDiagnostics(j, kls[j], kls[-1 - j], j % 2 == 0, j < 3)
+                     for j in range(len(kls))]
+            per_point[point] = nb.NeighborhoodSet(False, diags, pools[point][:3])
+        path = tmp_path / "diag.csv"
+        nb.export_diagnostics_csv(str(path), per_point, pools)
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["challenge_index", "candidate_hash", "kl_in", "kl_out",
+                             "admitted", "selected"])
+            for point in sorted(per_point):
+                for d in per_point[point].diagnostics:
+                    row = pools[point][d.index].astype("<f8").tobytes()
+                    writer.writerow([point, hashlib.sha256(row).hexdigest()[:16],
+                                     repr(d.kl_in), repr(d.kl_out),
+                                     int(d.admitted), int(d.selected)])
+        assert path.read_bytes() == ref.read_bytes()
