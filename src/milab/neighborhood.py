@@ -141,17 +141,17 @@ def export_diagnostics_csv(path: str, per_point: dict[int, NeighborhoodSet],
     per candidate. A candidate's hash is the first 16 hex digits of the
     sha256 of its row as little-endian float64.
 
-    Rows are written as one string in ``csv.writer``'s default dialect: no
-    field holds a comma, quote or line break, so none is quoted, and each
-    row ends in its "\\r\\n" terminator."""
-    lines = ["challenge_index,candidate_hash,kl_in,kl_out,admitted,selected\r\n"]
-    for point in sorted(per_point):
-        pool = np.asarray(candidate_pools[point], dtype="<f8")
-        data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
-        hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
-                  for i in range(0, len(data), width)]
-        lines += [f"{point},{hashes[d.index]},{d.kl_in!r},{d.kl_out!r},"
-                  f"{d.admitted:d},{d.selected:d}\r\n"
-                  for d in per_point[point].diagnostics]
+    Each point's rows are written as one string in ``csv.writer``'s default
+    dialect: no field holds a comma, quote or line break, so none is quoted,
+    and each row ends in its "\\r\\n" terminator. Joining per point, not
+    per file, keeps the strings of only one pool alive at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("".join(lines))
+        f.write("challenge_index,candidate_hash,kl_in,kl_out,admitted,selected\r\n")
+        for point in sorted(per_point):
+            pool = np.asarray(candidate_pools[point], dtype="<f8")
+            data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
+            hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
+                      for i in range(0, len(data), width)]
+            f.write("".join(f"{point},{hashes[d.index]},{d.kl_in!r},{d.kl_out!r},"
+                            f"{d.admitted:d},{d.selected:d}\r\n"
+                            for d in per_point[point].diagnostics))
