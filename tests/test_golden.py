@@ -10,17 +10,21 @@ metrics and neighbourhood diagnostics, the poison plan (replica counts, split
 bits and the cache keys of the shadow models) and the targets' accuracies in
 ``model_stats.csv``. Besides the batched adaptive
 game, ``GAME_ARGS`` pins the per-point strict game and the static baseline,
-which reach the neighbourhood stage through their own poison paths. The tiny
+which reach the neighbourhood stage through their own poison paths, and a
+``kind: csv`` game, whose pool is read from a CSV written from a seeded
+gaussian mixture and doubles as its evaluation data. The tiny
 games all train without weight decay, so ``MODELS`` adds four models trained
 directly with ``nncore.train``: one with weight decay, two hidden layers and
 a ragged last batch; one with DP-SGD noise; one with DP-SGD noise, two hidden
 layers and a ragged last batch; and one whose every step is a single batch
-shorter than ``batch_size``. After an intended output change,
+shorter than ``batch_size``. Each model pins its ``save_model`` blob and its
+manifest. After an intended output change,
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
 import hashlib
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +68,8 @@ CONFIGS = {
     # At this seed the adaptive loop stops short of 2 on two points, so the
     # static game's targets differ from an adaptive run's.
     "static_k2": _tiny(master_seed=4),
+    # ``run_digests`` writes the CSV into the run directory first.
+    "csv": _tiny(dataset=hc.DatasetConfig(kind="csv", csv_path="pool.csv")),
 }
 
 # Keyword arguments of ``run_privacy_game`` beyond the config: the per-point
@@ -109,6 +115,13 @@ GOLDEN = {
         "poison_plan.json": "8320ac41c23341d6ed9f86993b75bc87a8048ca500ad6fd4ff8fe28f42a5cb28",
         "model_stats.csv": "6fafef6457d7e69c8607c3198d1deb370216221fb6c4c941dee82bf4cab5aff1",
     },
+    "csv": {
+        "scores.csv": "43266a220f0a4807d75625f14e70c03f87c4c4cb32a500911924ae2384978fb0",
+        "metrics.csv": "50327ff94b507d7ac4dd4429a65816dcdaf709aede931711e4b77ee96be3b095",
+        "neighborhood_diagnostics.csv": "4589c89ab85838efd0e6f972ad82d6c6e70d66c53f0fc905e959ec00187fd6f9",
+        "poison_plan.json": "eab0053bbcaedf206549b4092e3d20eaf35e0d2065e43306808007bfe83d5991",
+        "model_stats.csv": "08409b3f362b48a3d149b5a831c75f38abc64ea84434d6731ecea6ebdb9016d0",
+    },
 }
 
 
@@ -128,30 +141,58 @@ MODELS = {
 }
 
 GOLDEN_MODELS = {
-    "decay_ragged": "d443d4709de42958384e3f4473b3027f70d7cf41d0b8cabd8c50b21c2c4f9b6a",
-    "dp_noise": "3e04d473fa090254b89349ea003121352142cd9d70c0365813ac23194a3bfce7",
-    "dp_deep": "62eb1cada5ea4f77af9e5f18769773aa23e2efe6e6a576f78adb8b97f497dfab",
-    "one_batch": "9293edc9b7099d98dc0500eb158de22556c46d98d12f51377e32e1736e152e60",
+    "decay_ragged": {
+        "bin": "d443d4709de42958384e3f4473b3027f70d7cf41d0b8cabd8c50b21c2c4f9b6a",
+        "json": "92bf701c747346ca18f0220acf228306f6e9d9a26e20f820638d1da6bf8644da",
+    },
+    "dp_noise": {
+        "bin": "3e04d473fa090254b89349ea003121352142cd9d70c0365813ac23194a3bfce7",
+        "json": "2f28662a92b5bb2153e7093a6e9dbcb7d41fc6722f6a8a694be3c3ff96273e5d",
+    },
+    "dp_deep": {
+        "bin": "62eb1cada5ea4f77af9e5f18769773aa23e2efe6e6a576f78adb8b97f497dfab",
+        "json": "64f3477f28ec3d41c614b5ea9d1ac0749e113a1a36b5b61cca3b8d45d3dcbcd8",
+    },
+    "one_batch": {
+        "bin": "9293edc9b7099d98dc0500eb158de22556c46d98d12f51377e32e1736e152e60",
+        "json": "8b5c1ae76f47da79818ee098171bcda2ff1aeae01ebc715de8b893dfef248e8a",
+    },
 }
 
 
-def model_digest(name: str, out_dir: str) -> str:
-    """sha256 of the ``save_model`` blob of the named model."""
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def model_digest(name: str, out_dir: str) -> dict[str, str]:
+    """sha256 of the ``save_model`` blob and manifest of the named model."""
     data_seed, hidden, cfg = MODELS[name]
     dataset = gen_gaussian_mixture(4, 8, 11, 2.0, seed=data_seed)
     stem = os.path.join(out_dir, name)
     nncore.save_model(nncore.train(dataset, cfg, hidden), stem)
-    with open(stem + ".bin", "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    return {"bin": _sha256(stem + ".bin"), "json": _sha256(stem + ".json")}
+
+
+def write_csv_pool(path: str) -> None:
+    """A 40-point, 8-dimensional pool from a seeded gaussian mixture, each
+    feature written as its ``repr`` so it reads back exactly."""
+    ds = gen_gaussian_mixture(4, 8, 10, 2.0, seed=12)
+    lines = [",".join([f"f{j}" for j in range(ds.dim)] + ["label"])]
+    lines += [",".join([repr(float(v)) for v in x] + [str(y)])
+              for x, y in zip(ds.features, ds.labels)]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def run_digests(name: str, out_dir: str) -> dict[str, str]:
-    hr.run_privacy_game(CONFIGS[name], out_dir, **GAME_ARGS.get(name, {}))
-    digests = {}
-    for file in CHECKED:
-        with open(os.path.join(out_dir, file), "rb") as f:
-            digests[file] = hashlib.sha256(f.read()).hexdigest()
-    return digests
+    cfg = CONFIGS[name]
+    if cfg.dataset.kind == "csv":
+        path = os.path.join(out_dir, cfg.dataset.csv_path)
+        write_csv_pool(path)
+        cfg = replace(cfg, dataset=replace(cfg.dataset, csv_path=path))
+    hr.run_privacy_game(cfg, out_dir, **GAME_ARGS.get(name, {}))
+    return {file: _sha256(os.path.join(out_dir, file)) for file in CHECKED}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
