@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,39 +71,22 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Trained classifier parameters (float32 storage).
-
-    ``layers[j]`` is the pair (weight matrix [out x in], bias vector [out]);
-    consecutive layer shapes chain.  Hidden layers use ReLU, the output layer
-    a softmax.
+    """Classifier parameters: ``flat`` is one float32 vector in the
+    model-blob layout (see ``_param_views``) and ``dims`` the layer widths,
+    input first.  Hidden layers use ReLU, the output layer a softmax.
     """
 
-    layers: LayerList = field(default_factory=list)
+    flat: np.ndarray
+    dims: list[int]
 
     def __post_init__(self):
-        for j in range(1, len(self.layers)):
-            if self.layers[j][0].shape[1] != self.layers[j - 1][0].shape[0]:
-                raise ValueError(f"layer {j} input dim does not chain")
-        for w, b in self.layers:
-            if w.shape[0] != b.shape[0]:
-                raise ValueError("weight/bias shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite model parameters")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.input_dim] + [w.shape[0] for w, _ in self.layers]
+        if self.flat.shape != (_num_params(self.dims),):
+            raise ValueError(f"{self.flat.size} parameters do not fit dims {self.dims}")
+        if not np.isfinite(self.flat).all():
+            raise ValueError("non-finite model parameters")
 
     def as_float64(self) -> LayerList:
-        return [(w.astype(np.float64), b.astype(np.float64)) for w, b in self.layers]
+        return _param_views(self.flat.astype(np.float64), self.dims)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax confidence vector for a single input."""
@@ -121,13 +104,13 @@ def init_params(input_dim: int, hidden_sizes: tuple[int, ...], num_classes: int,
     from the stream ``make_rng(seed, 0)``; biases start at zero.
     """
     gen = make_rng(seed, 0)
-    sizes = [input_dim] + list(hidden_sizes) + [num_classes]
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    dims = [input_dim, *hidden_sizes, num_classes]
+    flat = np.zeros(_num_params(dims), dtype=np.float32)
+    for w, _ in _param_views(flat, dims):
+        fan_out, fan_in = w.shape
         a = math.sqrt(6.0 / (fan_in + fan_out))
-        w = gen.uniform(-a, a, size=(fan_out, fan_in))
-        layers.append((w.astype(np.float32), np.zeros(fan_out, dtype=np.float32)))
-    return ModelParams(layers)
+        w[...] = gen.uniform(-a, a, size=w.shape)
+    return ModelParams(flat, dims)
 
 
 def _num_params(dims) -> int:
@@ -300,8 +283,7 @@ def train(dataset, config: TrainConfig,
         return init
 
     dims = init.dims
-    params = np.concatenate([arr.ravel() for wb in init.layers for arr in wb],
-                            dtype=np.float64)
+    params = init.flat.astype(np.float64)
     grad = np.empty_like(params)
     layers, grads = _param_views(params, dims), _param_views(grad, dims)
     lr = config.learning_rate
@@ -338,7 +320,7 @@ def train(dataset, config: TrainConfig,
                     noise *= dp.noise_multiplier * dp.clip_norm
                     grad += noise
                 _apply_update(params, grad, decay, 1.0 / len(xb), lr)
-    return ModelParams(_param_views(params.astype(np.float32), dims))
+    return ModelParams(params.astype(np.float32), dims)
 
 
 def predict_labels(model: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -382,14 +364,12 @@ def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
                config_hash: str = "") -> None:
     """Write ``stem.bin`` (parameters) and then ``stem.json`` (manifest).
 
-    The binary holds, per layer in order, the weight matrix (row-major) then
-    the bias vector, as little-endian float32.  The manifest records the
-    binary's sha256, which ``load_model`` checks.  Save/load round-trips are
-    bit-exact because parameters are stored as float32 in memory too.
+    The binary is ``model.flat`` as little-endian float32: per layer in
+    order, the weight matrix (row-major) then the bias vector.  The manifest
+    records the binary's sha256, which ``load_model`` checks.  Save/load
+    round-trips are bit-exact because memory holds the same float32 vector.
     """
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        for w, b in model.layers for arr in (w, b))
+    blob = model.flat.astype("<f4", copy=False).tobytes()
     manifest = {
         "format": MODEL_FORMAT,
         "dims": model.dims,
@@ -421,10 +401,7 @@ def load_model(stem: str) -> tuple[ModelParams, dict]:
     if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
         raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
     raw = np.frombuffer(blob, dtype="<f4").copy()  # writable, like trained parameters
-    dims = manifest["dims"]
-    if raw.size != _num_params(dims):
-        raise ValueError(f"parameter blob size mismatch in {stem}.bin")
-    return ModelParams(_param_views(raw, dims)), manifest
+    return ModelParams(raw, manifest["dims"]), manifest
 
 
 def model_exists(stem: str) -> bool:

@@ -10,9 +10,7 @@ from milab.datagen import Dataset, gen_gaussian_mixture
 
 
 def params_equal(a: nn.ModelParams, b: nn.ModelParams) -> bool:
-    return len(a.layers) == len(b.layers) and all(
-        np.array_equal(wa, wb) and np.array_equal(ba, bb)
-        for (wa, ba), (wb, bb) in zip(a.layers, b.layers))
+    return a.dims == b.dims and np.array_equal(a.flat, b.flat)
 
 
 def random_layers(gen, dims):
@@ -189,18 +187,17 @@ class TestGradients:
 
 class TestPredict:
     def test_all_zero_model_is_uniform_with_label_zero(self):
-        model = nn.ModelParams([(np.zeros((3, 4), dtype=np.float32),
-                                 np.zeros(3, dtype=np.float32))])
+        model = nn.ModelParams(np.zeros(15, dtype=np.float32), [4, 3])
         x = np.array([0.3, -1.0, 2.0, 0.5])
         np.testing.assert_allclose(model.predict_proba(x), 1.0 / 3, atol=1e-12)
         assert nn.predict_labels(model, x[None, :]).tolist() == [0]
 
     def test_hand_built_model_favors_class_two(self):
         # One linear layer; weights route e_1 strongly to class 2.
-        w = np.zeros((4, 3), dtype=np.float32)
+        model = nn.ModelParams(np.zeros(16, dtype=np.float32), [3, 4])
+        [(w, _)] = nn._param_views(model.flat, model.dims)
         w[2, 0] = 5.0
         w[1, 0] = 1.0
-        model = nn.ModelParams([(w, np.zeros(4, dtype=np.float32))])
         x = np.array([1.0, 0.0, 0.0])
         assert nn.predict_labels(model, x[None, :]).tolist() == [2]
         # Hand-computed softmax over logits (0, 1, 5, 0).
@@ -210,9 +207,9 @@ class TestPredict:
 
     def test_confidences_sum_to_one(self):
         gen = np.random.default_rng(3)
-        layers = [(a.astype(np.float32), b.astype(np.float32))
-                  for a, b in random_layers(gen, [5, 7, 4])]
-        model = nn.ModelParams(layers)
+        dims = [5, 7, 4]
+        flat = np.concatenate([arr.ravel() for wb in random_layers(gen, dims) for arr in wb])
+        model = nn.ModelParams(flat.astype(np.float32), dims)
         for _ in range(20):
             x = gen.normal(0, 2, 5)
             probs = model.predict_proba(x)
@@ -285,7 +282,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             nn.DpConfig(clip_norm=1.0, noise_multiplier=-0.5)
 
-    def test_layer_shape_chain_validated(self):
-        with pytest.raises(ValueError):
-            nn.ModelParams([(np.zeros((3, 4), dtype=np.float32), np.zeros(3, dtype=np.float32)),
-                            (np.zeros((2, 5), dtype=np.float32), np.zeros(2, dtype=np.float32))])
+    def test_parameter_count_validated(self):
+        # dims [4, 3, 2] take 4*3 + 3 + 3*2 + 2 = 23 parameters.
+        nn.ModelParams(np.zeros(23, dtype=np.float32), [4, 3, 2])
+        for size in (22, 24):
+            with pytest.raises(ValueError, match="do not fit dims"):
+                nn.ModelParams(np.zeros(size, dtype=np.float32), [4, 3, 2])
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.ModelParams(np.full(23, np.nan, dtype=np.float32), [4, 3, 2])
