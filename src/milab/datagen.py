@@ -204,13 +204,21 @@ def load_dataset(stem: str) -> Dataset:
 
 
 def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
-    """Import tabular data: header row, last column is the integer label."""
+    """Import tabular data: header row, last column is the integer label.
+
+    Raises ValueError when the file has no data rows, a row's length differs
+    from the header's, a cell does not parse, or a label is out of range."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV file")
         rows = [row for row in reader if row]
+    if not rows:
+        raise ValueError("no data rows")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"row {line} has {len(row)} fields, the header {len(header)}")
     feats = np.array([[float(v) for v in row[:-1]] for row in rows])
     labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
     if num_classes is None:

@@ -122,7 +122,10 @@ def _gen_dataset(cfg: ExperimentConfig, seed: int, n_per_class: int) -> Dataset:
     if d.kind == "binary":
         return _quantize(gen_binary_tabular(d.num_classes, d.dim, n_per_class,
                                             d.flip_noise, seed))
-    return _quantize(load_csv_dataset(d.csv_path))
+    try:
+        return _quantize(load_csv_dataset(d.csv_path))
+    except ValueError as exc:  # a missing file stays a runtime failure
+        raise ConfigError(f"bad csv dataset {d.csv_path}: {exc}") from None
 
 
 def _train_job(args) -> nncore.ModelParams:
@@ -396,6 +399,8 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
     """
     if game_strict and k_static is not None:
         raise ConfigError("k_static and game_strict are exclusive")
+    if k_static is not None and k_static < 0:
+        raise ConfigError("k_static must be >= 0")
     os.makedirs(out_dir, exist_ok=True)
     cache = ModelCache(cache_dir if cache_dir is not None
                        else os.path.join(out_dir, "cache"))
@@ -452,8 +457,6 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
 def run_static_baseline(cfg: ExperimentConfig, k_static: int, out_dir: str,
                         cache_dir: str | None = None) -> GameResult:
     """Same pipeline with a fixed replica count per challenge point."""
-    if k_static < 0:
-        raise ConfigError("k_static must be >= 0")
     return run_privacy_game(cfg, out_dir, cache_dir, k_static=k_static)
 
 

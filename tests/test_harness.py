@@ -267,6 +267,14 @@ class TestPrivacyGame:
         result = hr.run_static_baseline(tiny_config(), 2, str(tmp_path / "s2"))
         assert result.replica_counts.tolist() == [2, 2, 2]
 
+    def test_negative_k_static_rejected_before_any_write(self, tmp_path):
+        out = tmp_path / "run"
+        for run in (lambda: hr.run_privacy_game(tiny_config(), str(out), k_static=-1),
+                    lambda: hr.run_static_baseline(tiny_config(), -1, str(out))):
+            with pytest.raises(hc.ConfigError, match="k_static must be >= 0"):
+                run()
+            assert not out.exists()
+
     def test_game_strict_mode_runs(self, tmp_path):
         cfg = tiny_config(num_challenge_points=2)
         result = hr.run_privacy_game(cfg, str(tmp_path / "strict"), game_strict=True)
@@ -436,6 +444,33 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
         assert "stage 'dataset'" in capsys.readouterr().err
+
+    def test_bad_csv_input_exit_code(self, tmp_path, capsys):
+        # Bad input is a config error that names the file, not a stage failure.
+        bad = {
+            "non_numeric.csv": ("f0,label\n0.5,0\nabc,1\n",
+                                "could not convert string to float: 'abc'"),
+            "ragged.csv": ("f0,f1,label\n0.5,1.0,0\n1.5,1\n", "row 3 has 2 fields"),
+            "header_only.csv": ("f0,label\n", "no data rows"),
+            "negative_label.csv": ("f0,label\n0.5,0\n1.5,-1\n", "labels out of range"),
+        }
+        cases = [({"kind": "csv"}, "csv datasets need csv_path")]
+        for name, (text, why) in bad.items():
+            (tmp_path / name).write_text(text)
+            cases.append(({"kind": "csv", "csv_path": str(tmp_path / name)},
+                          f"{tmp_path / name}: {why}"))
+        cfg_path = tmp_path / "cfg.json"
+        for dataset, why in cases:
+            cfg_path.write_text(json.dumps({
+                "dataset": dataset, "hidden_sizes": [4],
+                "train": {"epochs": 1, "learning_rate": 0.1},
+                "poison": {"m": 2, "k_max": 1},
+                "neighborhood": {"size": 2, "pool_size": 4},
+                "num_target_models": 2, "num_challenge_points": 1, "eval_size": 4}))
+            assert cli.main(["run", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o")]) == 1, why
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and why in err, err
 
     def test_module_entry_point(self):
         proc = subprocess.run(
