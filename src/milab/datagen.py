@@ -216,9 +216,9 @@ def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError("no data rows")
-    for line, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise ValueError(f"row {line} has {len(row)} fields, the header {len(header)}")
+            raise ValueError(f"data row {i} has {len(row)} fields, the header {len(header)}")
     feats = np.array([[float(v) for v in row[:-1]] for row in rows])
     labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
     if num_classes is None:

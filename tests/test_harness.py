@@ -450,7 +450,7 @@ class TestCli:
         bad = {
             "non_numeric.csv": ("f0,label\n0.5,0\nabc,1\n",
                                 "could not convert string to float: 'abc'"),
-            "ragged.csv": ("f0,f1,label\n0.5,1.0,0\n1.5,1\n", "row 3 has 2 fields"),
+            "ragged.csv": ("f0,f1,label\n0.5,1.0,0\n1.5,1\n", "data row 2 has 2 fields"),
             "header_only.csv": ("f0,label\n", "no data rows"),
             "negative_label.csv": ("f0,label\n0.5,0\n1.5,-1\n", "labels out of range"),
         }
