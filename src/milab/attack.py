@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,6 @@ class LabelOnlyModel:
         X = np.atleast_2d(X)
         self.query_count += X.shape[0]
         return np.argmax(self._model.predict_proba_batch(X), axis=1)
-
-
-@dataclass
-class ScoreRecord:
-    """One membership score for a (target model, challenge point) pair.
-
-    Higher score means stronger evidence of membership; ``truth`` is the
-    ground-truth membership bit.
-    """
-
-    challenge_index: int
-    target_model_id: int
-    score: float
-    truth: bool
-    attack_name: str
-
-    def __post_init__(self):
-        if not 0 <= self.score <= 1:
-            raise ValueError("score must be in [0, 1]")
 
 
 def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]],
@@ -88,31 +68,31 @@ def gap_score(target, challenges: Sequence[tuple[np.ndarray, int]]) -> list[floa
     return [1.0 if label == y else 0.0 for label, (_, y) in zip(labels.tolist(), challenges)]
 
 
-def write_scores_csv(path: str, records: list[ScoreRecord]) -> None:
+def write_scores_csv(path: str, scores: dict[str, np.ndarray], truth: np.ndarray,
+                     indices: np.ndarray) -> None:
+    """One row per (attack, target, point): ``scores[attack][j, p]`` is the
+    score of target j on the point at position p, whose pool index is
+    ``indices[p]`` and whose membership bit is ``truth[j, p]``."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["attack", "challenge_index", "model_id", "truth", "score"])
-        for r in records:
-            writer.writerow([r.attack_name, r.challenge_index, r.target_model_id,
-                             int(r.truth), repr(r.score)])
+        indices, bits = indices.tolist(), truth.astype(int).tolist()
+        for attack, matrix in scores.items():
+            for j, (row, member) in enumerate(zip(matrix.tolist(), bits)):
+                writer.writerows([attack, idx, j, bit, repr(score)]
+                                 for idx, bit, score in zip(indices, member, row))
 
 
-def read_scores_csv(path: str) -> list[ScoreRecord]:
-    records = []
+def read_scores_csv(path: str) -> dict[str, tuple[list[float], list[float]]]:
+    """Per attack, its (member, non-member) scores in file order.
+
+    Raises ValueError when a score is outside [0, 1]."""
+    split: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
         for row in csv.DictReader(f):
-            records.append(ScoreRecord(
-                challenge_index=int(row["challenge_index"]),
-                target_model_id=int(row["model_id"]),
-                score=float(row["score"]),
-                truth=bool(int(row["truth"])),
-                attack_name=row["attack"],
-            ))
-    return records
-
-
-def split_scores(records: list[ScoreRecord], attack_name: str) -> tuple[list[float], list[float]]:
-    """Scores of one attack partitioned into (members, non-members)."""
-    s_in = [r.score for r in records if r.attack_name == attack_name and r.truth]
-    s_out = [r.score for r in records if r.attack_name == attack_name and not r.truth]
-    return s_in, s_out
+            score = float(row["score"])
+            if not 0 <= score <= 1:
+                raise ValueError("score must be in [0, 1]")
+            s_in, s_out = split.setdefault(row["attack"], ([], []))
+            (s_in if int(row["truth"]) else s_out).append(score)
+    return split

@@ -207,7 +207,8 @@ def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
     """Import tabular data: header row, last column is the integer label.
 
     Raises ValueError when the file has no data rows, a row's length differs
-    from the header's, a cell does not parse, or a label is out of range."""
+    from the header's, a cell does not parse, a label is out of range, or
+    the labels span fewer than 2 classes."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -223,4 +224,7 @@ def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
     labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    return Dataset(feats, labels, num_classes)
+    ds = Dataset(feats, labels, num_classes)
+    if ds.num_classes < 2:
+        raise ValueError("labels span fewer than 2 classes")
+    return ds

@@ -4,11 +4,10 @@ its CLI."""
 from .config import (ConfigError, DatasetConfig, ExperimentConfig,
                      NeighborhoodConfig, config_from_dict, load_config)
 from .runner import (CostReport, GameResult, StageError, run_ablation,
-                     run_privacy_game, run_static_baseline, verify_manifest)
+                     run_privacy_game, verify_manifest)
 
 __all__ = [
     "ConfigError", "DatasetConfig", "ExperimentConfig", "NeighborhoodConfig",
     "config_from_dict", "load_config", "CostReport", "GameResult",
-    "StageError", "run_ablation", "run_privacy_game", "run_static_baseline",
-    "verify_manifest",
+    "StageError", "run_ablation", "run_privacy_game", "verify_manifest",
 ]

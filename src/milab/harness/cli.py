@@ -14,9 +14,9 @@ import sys
 from dataclasses import replace
 
 from .. import __version__, metrics, theory
-from ..attack import read_scores_csv, split_scores
+from ..attack import read_scores_csv
 from .config import ConfigError, load_config
-from .runner import StageError, run_ablation, run_privacy_game, run_static_baseline
+from .runner import StageError, run_ablation, run_privacy_game
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -46,7 +46,7 @@ def _print_reports(result) -> None:
     for attack, report in result.reports.items():
         tprs = " ".join(f"tpr@{t:g}={v:.4f}" for t, v in sorted(report.tpr_at.items()))
         print(f"{attack}: auc={report.auc:.4f} mi_acc={report.mi_accuracy:.4f} "
-              f"{tprs} tpr@res={result.tpr_at_resolution[attack]:.4f}")
+              f"{tprs} tpr@res={report.tpr_at_resolution:.4f}")
     print(f"replica counts: {result.replica_counts.tolist()}")
     print(f"outputs in {result.out_dir}")
 
@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
 
 def cmd_static(args) -> int:
     cfg = _load_cfg(args)
-    result = run_static_baseline(cfg, args.k, args.out, cache_dir=args.cache)
+    result = run_privacy_game(cfg, args.out, cache_dir=args.cache, k_static=args.k)
     _print_reports(result)
     return 0
 
@@ -99,11 +99,9 @@ def cmd_cost(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    records = read_scores_csv(args.scores)
-    attacks = sorted({r.attack_name for r in records})
-    for attack in attacks:
-        s_in, s_out = split_scores(records, attack)
-        report = metrics.compute_report(s_in, s_out)
+    split = read_scores_csv(args.scores)
+    for attack in sorted(split):
+        report = metrics.compute_report(*split[attack])
         print(f"{attack}: {json.dumps(report.to_dict(), sort_keys=True)}")
     return 0
 

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .. import __version__, metrics, nncore
-from ..attack import (CHAMELEON, LabelOnlyModel, ScoreRecord, chameleon_score,
-                      gap_score, split_scores, write_scores_csv)
+from ..attack import (CHAMELEON, LabelOnlyModel, chameleon_score, gap_score,
+                      write_scores_csv)
 from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        gen_neighbors, load_csv_dataset, make_split_plan,
                        save_dataset)
@@ -99,9 +99,12 @@ class CostReport:
 
 @dataclass
 class GameResult:
+    """``scores[attack][j, p]`` is target j's score on challenge point p;
+    ``truth[j, p]`` says whether target j trained on it."""
+
     reports: dict[str, metrics.MetricReport]
-    tpr_at_resolution: dict[str, float]
-    records: list[ScoreRecord]
+    scores: dict[str, np.ndarray]
+    truth: np.ndarray
     replica_counts: np.ndarray
     cost: CostReport
     out_dir: str
@@ -124,7 +127,7 @@ def _gen_dataset(cfg: ExperimentConfig, seed: int, n_per_class: int) -> Dataset:
                                             d.flip_noise, seed))
     try:
         return _quantize(load_csv_dataset(d.csv_path))
-    except ValueError as exc:  # a missing file stays a runtime failure
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad csv dataset {d.csv_path}: {exc}") from None
 
 
@@ -201,7 +204,7 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
     """Adaptive, static or strict per-point adaptive poisoning.
 
     Returns the plan and the poison-free IN and OUT ensembles for the
-    neighborhood stage (maps of point position -> model list)."""
+    neighborhood stage (one model list per point position)."""
     if game_strict:
         return _strict_poisoning(cfg, pool, challenges, trainer)
     poison_seed = derive_seed(cfg.master_seed, TAG_POISON)
@@ -216,10 +219,10 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
         plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.many, poison_seed)
         plan.replica_counts = np.full(len(challenges), k_static, dtype=np.int64)
     shadow = plan.shadow_models
-    in_models, out_models = {}, {}
-    for pos, idx in enumerate(challenges.indices):
-        in_models[pos] = [shadow[row] for row in plan.split.in_rows(int(idx))]
-        out_models[pos] = [shadow[row] for row in plan.split.out_rows(int(idx))]
+    in_models = [[shadow[row] for row in plan.split.in_rows(int(idx))]
+                 for idx in challenges.indices]
+    out_models = [[shadow[row] for row in plan.split.out_rows(int(idx))]
+                  for idx in challenges.indices]
     return plan, in_models, out_models
 
 
@@ -229,7 +232,7 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
     gets its own attacker dataset (pool minus the point) and OUT ensembles;
     IN ensembles for the neighborhood are trained separately."""
     counts = np.zeros(len(challenges), dtype=np.int64)
-    in_models, out_models = {}, {}
+    in_models, out_models = [], []
     models_trained = 0
     for pos in range(len(challenges)):
         idx = int(challenges.indices[pos])
@@ -243,7 +246,8 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
             models = trainer.many(jobs)
             # The first call trains k = 0: the poison-free OUT ensemble the
             # neighborhood stage needs.
-            out_models.setdefault(pos, models)
+            if len(out_models) == pos:
+                out_models.append(models)
             return models
 
         counts[pos] = adapt_poison_single(
@@ -252,9 +256,9 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         models_trained += cfg.poison.m * (int(counts[pos]) + 1)
         with_point = Dataset(np.concatenate([d_i.features, x[None, :]]),
                              np.concatenate([d_i.labels, [y]]), pool.num_classes)
-        in_models[pos] = trainer.many(
+        in_models.append(trainer.many(
             [(with_point, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
-             for j in range(cfg.poison.m)])
+             for j in range(cfg.poison.m)]))
         models_trained += cfg.poison.m
     plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
                       models_trained=models_trained)
@@ -262,23 +266,21 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
 
 
 def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
-                         in_models, out_models,
-                         path: str) -> dict[int, NeighborhoodSet]:
-    """Candidate pools plus KL selection; one poison-free ensemble pair per
-    point (``in_models``/``out_models`` map point position -> model list)."""
+                         in_models, out_models, path: str) -> list[NeighborhoodSet]:
+    """Candidate pools plus KL selection, one per point position, from that
+    point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``."""
     modality = cfg.dataset.modality
     noise = cfg.neighborhood.resolved_noise_scale(modality)
-    selected: dict[int, NeighborhoodSet] = {}
-    pools = {}
+    selected, pools = [], []
     for pos in range(len(challenges)):
         x = challenges.features[pos]
         cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
                               derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
         # Round to float32 like the pool's features, in one cast per pool.
-        pools[pos] = cands.astype(np.float32).astype(np.float64)
-        selected[pos] = select_neighborhood(
+        pools.append(cands.astype(np.float32).astype(np.float64))
+        selected.append(select_neighborhood(
             (x, int(challenges.labels[pos])), pools[pos], in_models[pos],
-            out_models[pos], t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size)
+            out_models[pos], t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size))
     export_diagnostics_csv(path, selected, pools)
     return selected
 
@@ -335,9 +337,9 @@ def _query_groups(rows: list[int], cap: int) -> list[list[int]]:
 
 
 def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
-           neighborhoods: dict[int, NeighborhoodSet], targets,
-           target_split) -> tuple[list[ScoreRecord], int]:
-    """Label-only scores of every (attack, target, challenge) triple and the
+           neighborhoods: list[NeighborhoodSet],
+           targets) -> tuple[dict[str, np.ndarray], int]:
+    """Per attack, the [target, point] matrix of label-only scores, and the
     number of label queries they took.
 
     Each target answers one label query batch per group of whole points. A
@@ -345,47 +347,53 @@ def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
     neighborhood stage already runs, so batching adds no peak memory."""
     points = [(challenges.features[pos], int(challenges.labels[pos]))
               for pos in range(len(challenges))]
-    nbhoods = [neighborhoods[pos] for pos in range(len(challenges))]
     cap = cfg.neighborhood.pool_size + 1
-    records: list[ScoreRecord] = []
+    scores: dict[str, np.ndarray] = {}
     total_queries = 0
     for attack in cfg.attacks:
-        rows = [len(nb.features) + 1 if attack == CHAMELEON else 1 for nb in nbhoods]
+        rows = [len(nb.features) + 1 if attack == CHAMELEON else 1
+                for nb in neighborhoods]
         groups = _query_groups(rows, cap)
+        matrix = scores[attack] = np.empty((len(targets), len(points)))
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
-            scores: list[float] = []
+            row: list[float] = []
             for group in groups:
                 group_points = [points[pos] for pos in group]
                 if attack == CHAMELEON:
-                    scores += chameleon_score(facade, group_points,
-                                              [nbhoods[pos] for pos in group])
+                    row += chameleon_score(facade, group_points,
+                                           [neighborhoods[pos] for pos in group])
                 else:
-                    scores += gap_score(facade, group_points)
-            for idx, score in zip(challenges.indices.tolist(), scores):
-                records.append(ScoreRecord(
-                    challenge_index=idx, target_model_id=j, score=score,
-                    truth=bool(target_split.inclusion[j, idx]), attack_name=attack))
+                    row += gap_score(facade, group_points)
+            matrix[j] = row
             total_queries += facade.query_count
-    return records, total_queries
+    return scores, total_queries
 
 
-def _write_metrics(cfg: ExperimentConfig, records: list[ScoreRecord], out_dir: str):
-    """Metric report, ROC curve and TPR at the FPR resolution per attack,
-    each written to the run directory."""
-    reports, tpr_at_res = {}, {}
-    for attack in cfg.attacks:
-        s_in, s_out = split_scores(records, attack)
-        report = metrics.compute_report(s_in, s_out)
-        reports[attack] = report
-        curve = metrics.roc_curve(s_in, s_out)
-        tpr_at_res[attack] = metrics.tpr_at_fpr(curve, report.fpr_resolution)
-        metrics.write_roc_csv(os.path.join(out_dir, f"roc_{attack}.csv"), curve)
+def _write_metrics(scores: dict[str, np.ndarray], truth: np.ndarray, out_dir: str,
+                   path: str) -> dict[str, metrics.MetricReport]:
+    """Per attack, the metric report (``metrics_<attack>.json``) and its ROC
+    curve (``roc_<attack>.csv``) in the run directory; one row per attack in
+    the table at ``path``."""
+    reports = {attack: metrics.compute_report(s[truth], s[~truth])
+               for attack, s in scores.items()}
+    targets = sorted(metrics.DEFAULT_FPR_TARGETS)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["attack", "n_in", "n_out", "auc", "mi_accuracy"]
+                        + [f"tpr_at_{t}" for t in targets]
+                        + ["fpr_resolution", "tpr_at_resolution"])
+        for attack, r in reports.items():
+            writer.writerow([attack, r.n_in, r.n_out, repr(r.auc), repr(r.mi_accuracy)]
+                            + [repr(r.tpr_at[t]) for t in targets]
+                            + [repr(r.fpr_resolution), repr(r.tpr_at_resolution)])
+    for attack, report in reports.items():
+        metrics.write_roc_csv(os.path.join(out_dir, f"roc_{attack}.csv"), report.curve)
         with open(os.path.join(out_dir, f"metrics_{attack}.json"), "w",
                   encoding="utf-8") as f:
             f.write(report.to_json())
             f.write("\n")
-    return reports, tpr_at_res
+    return reports
 
 
 def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
@@ -401,16 +409,17 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         raise ConfigError("k_static and game_strict are exclusive")
     if k_static is not None and k_static < 0:
         raise ConfigError("k_static must be >= 0")
-    os.makedirs(out_dir, exist_ok=True)
-    cache = ModelCache(cache_dir if cache_dir is not None
-                       else os.path.join(out_dir, "cache"))
-    trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
     stage_seconds: dict[str, float] = {}
     artifacts = {name: os.path.join(out_dir, file) for name, file in ARTIFACTS.items()}
 
     with _stage("dataset", stage_seconds):
+        # Built before any directory exists, so a bad CSV writes nothing.
         pool, eval_ds = _make_datasets(cfg)
+        os.makedirs(out_dir, exist_ok=True)
         save_dataset(pool, os.path.join(out_dir, "dataset"))
+    cache = ModelCache(cache_dir if cache_dir is not None
+                       else os.path.join(out_dir, "cache"))
+    trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
     with _stage("challenges", stage_seconds):
         challenges = _pick_challenges(cfg, pool)
         _write_challenges(challenges, artifacts["challenges"])
@@ -430,12 +439,11 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         model_stats = _write_model_stats(artifacts["model_stats"], targets,
                                          train_sets, eval_ds)
     with _stage("scores", stage_seconds):
-        records, total_queries = _score(cfg, challenges, neighborhoods, targets,
-                                        target_split)
-        write_scores_csv(artifacts["scores"], records)
+        scores, total_queries = _score(cfg, challenges, neighborhoods, targets)
+        truth = target_split.inclusion[:, challenges.indices]
+        write_scores_csv(artifacts["scores"], scores, truth, challenges.indices)
     with _stage("metrics", stage_seconds):
-        reports, tpr_at_res = _write_metrics(cfg, records, out_dir)
-        _write_metrics_csv(artifacts["metrics"], cfg.attacks, reports, tpr_at_res)
+        reports = _write_metrics(scores, truth, out_dir, artifacts["metrics"])
     with _stage("manifest", {}):  # untimed: its files record the stage times
         cost = CostReport(
             shadow_models=plan.models_trained,
@@ -449,15 +457,9 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
             json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
         _write_manifest(cfg, out_dir, artifacts, stage_seconds)
-    return GameResult(reports=reports, tpr_at_resolution=tpr_at_res,
-                      records=records, replica_counts=plan.replica_counts,
+    return GameResult(reports=reports, scores=scores, truth=truth,
+                      replica_counts=plan.replica_counts,
                       cost=cost, out_dir=out_dir, model_stats=model_stats)
-
-
-def run_static_baseline(cfg: ExperimentConfig, k_static: int, out_dir: str,
-                        cache_dir: str | None = None) -> GameResult:
-    """Same pipeline with a fixed replica count per challenge point."""
-    return run_privacy_game(cfg, out_dir, cache_dir, k_static=k_static)
 
 
 # Ablation knob -> (config section, field, cast of the value).
@@ -498,7 +500,7 @@ def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
             report = result.reports[attack]
             row = {"knob": knob, "value": value, "attack": attack,
                    "auc": report.auc, "mi_accuracy": report.mi_accuracy,
-                   "tpr_at_resolution": result.tpr_at_resolution[attack]}
+                   "tpr_at_resolution": report.tpr_at_resolution}
             for target, tpr in sorted(report.tpr_at.items()):
                 row[f"tpr_at_{target}"] = tpr
             rows.append(row)
@@ -510,21 +512,6 @@ def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
             for row in rows:
                 writer.writerow(row)
     return rows
-
-
-def _write_metrics_csv(path: str, attacks, reports, tpr_at_res) -> None:
-    targets = sorted(next(iter(reports.values())).tpr_at) if reports else []
-    header = (["attack", "n_in", "n_out", "auc", "mi_accuracy"]
-              + [f"tpr_at_{t}" for t in targets]
-              + ["fpr_resolution", "tpr_at_resolution"])
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for attack in attacks:
-            r = reports[attack]
-            writer.writerow([attack, r.n_in, r.n_out, repr(r.auc), repr(r.mi_accuracy)]
-                            + [repr(r.tpr_at[t]) for t in targets]
-                            + [repr(r.fpr_resolution), repr(tpr_at_res[attack])])
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: str, artifacts: dict[str, str],

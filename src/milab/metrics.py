@@ -30,6 +30,9 @@ class RocCurve:
 
 @dataclass
 class MetricReport:
+    """Metrics of one attack; ``to_dict`` leaves out the ROC curve and the
+    TPR at the FPR resolution."""
+
     tpr_at: dict[float, float]
     auc: float
     mi_accuracy: float
@@ -37,6 +40,8 @@ class MetricReport:
     n_out: int
     fpr_resolution: float = 0.0
     notes: list[str] = field(default_factory=list)
+    tpr_at_resolution: float = 0.0
+    curve: RocCurve | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -81,30 +86,20 @@ def tpr_at_fpr(curve: RocCurve, fpr_target: float) -> float:
 def auc(scores_in, scores_out) -> float:
     """P(random IN score > random OUT score), ties counted 1/2."""
     s_in, s_out = _as_scores(scores_in), _as_scores(scores_out)
-    # Midranks over the pooled sample give the Mann-Whitney statistic.
-    pooled = np.concatenate([s_in, s_out])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Midranks over the pooled sample give the Mann-Whitney statistic; the
+    # ``count`` scores tied at one value share the mean of the ranks they
+    # span, the last of which is the cumulative count.
+    _, inverse, counts = np.unique(np.concatenate([s_in, s_out]),
+                                   return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     r_in = ranks[:s_in.size].sum()
     u = r_in - s_in.size * (s_in.size + 1) / 2.0
     return float(u / (s_in.size * s_out.size))
 
 
-def _best_balanced_accuracy(curve: RocCurve) -> float:
-    return float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0))
-
-
 def mi_accuracy(scores_in, scores_out) -> float:
     """Best balanced accuracy (TPR + TNR)/2 over the threshold sweep."""
-    return _best_balanced_accuracy(roc_curve(scores_in, scores_out))
+    return compute_report(scores_in, scores_out, fpr_targets=()).mi_accuracy
 
 
 def compute_report(scores_in, scores_out,
@@ -123,11 +118,13 @@ def compute_report(scores_in, scores_out,
     return MetricReport(
         tpr_at={float(t): tpr_at_fpr(curve, t) for t in fpr_targets},
         auc=auc(s_in, s_out),
-        mi_accuracy=_best_balanced_accuracy(curve),
+        mi_accuracy=float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0)),
         n_in=s_in.size,
         n_out=s_out.size,
         fpr_resolution=resolution,
         notes=notes,
+        tpr_at_resolution=tpr_at_fpr(curve, resolution),
+        curve=curve,
     )
 
 

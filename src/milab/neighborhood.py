@@ -133,13 +133,14 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
     )
 
 
-def export_diagnostics_csv(path: str, per_point: dict[int, NeighborhoodSet],
-                           candidate_pools: dict[int, np.ndarray]) -> None:
+def export_diagnostics_csv(path: str, per_point: list[NeighborhoodSet],
+                           candidate_pools: list[np.ndarray]) -> None:
     """Per-candidate selection record for ablation plots.
 
-    ``candidate_pools`` maps each point to its candidates' features, one row
-    per candidate. A candidate's hash is the first 16 hex digits of the
-    sha256 of its row as little-endian float64.
+    ``per_point[p]`` is the selection of the point at position p and
+    ``candidate_pools[p]`` its candidates' features, one row per candidate;
+    a row's ``challenge_index`` is p. A candidate's hash is the first 16 hex
+    digits of the sha256 of its row as little-endian float64.
 
     Each point's rows are written as one string in ``csv.writer``'s default
     dialect: no field holds a comma, quote or line break, so none is quoted,
@@ -147,11 +148,11 @@ def export_diagnostics_csv(path: str, per_point: dict[int, NeighborhoodSet],
     per file, keeps the strings of only one pool alive at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("challenge_index,candidate_hash,kl_in,kl_out,admitted,selected\r\n")
-        for point in sorted(per_point):
+        for point, chosen in enumerate(per_point):
             pool = np.asarray(candidate_pools[point], dtype="<f8")
             data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
             hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
                       for i in range(0, len(data), width)]
             f.write("".join(f"{point},{hashes[d.index]},{d.kl_in!r},{d.kl_out!r},"
                             f"{d.admitted:d},{d.selected:d}\r\n"
-                            for d in per_point[point].diagnostics))
+                            for d in chosen.diagnostics))

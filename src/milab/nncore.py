@@ -389,19 +389,22 @@ def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
 def load_model(stem: str) -> tuple[ModelParams, dict]:
     """The model saved under ``stem`` and its manifest.
 
-    Raises ValueError when the manifest is not a model manifest, or the
-    binary does not match the manifest's sha256 (a manifest without one
-    never matches) or its dims."""
+    Raises ValueError when the manifest is not a model manifest, has no list
+    of int dims, or the binary does not match the manifest's sha256 (a
+    manifest without one never matches) or its dims."""
     with open(stem + ".json", "r", encoding="utf-8") as f:
         manifest = json.load(f)
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError(f"unexpected model format in {stem}.json")
+    dims = manifest.get("dims")
+    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        raise ValueError(f"{stem}.json has no list of int dims")
     with open(stem + ".bin", "rb") as f:
         blob = f.read()
     if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
         raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
     raw = np.frombuffer(blob, dtype="<f4").copy()  # writable, like trained parameters
-    return ModelParams(raw, manifest["dims"]), manifest
+    return ModelParams(raw, dims), manifest
 
 
 def model_exists(stem: str) -> bool:

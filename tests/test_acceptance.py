@@ -289,14 +289,14 @@ class TestCriterion8:
             res = hr.run_privacy_game(cfg, str(tmp_path / f"run{seed}"),
                                       cache_dir=cache)
             n_obs = cfg.num_target_models * cfg.num_challenge_points
-            assert len(res.records) == n_obs * len(cfg.attacks)
+            assert sum(s.size for s in res.scores.values()) == n_obs * len(cfg.attacks)
             ch_auc.append(res.reports["chameleon"].auc)
             gap_auc.append(res.reports["gap"].auc)
-            adapt_tpr.append(res.tpr_at_resolution["chameleon"])
+            adapt_tpr.append(res.reports["chameleon"].tpr_at_resolution)
             for k in static_ks:
-                rs = hr.run_static_baseline(cfg, k, str(tmp_path / f"s{seed}_{k}"),
-                                            cache_dir=cache)
-                static_tpr_res[k].append(rs.tpr_at_resolution["chameleon"])
+                rs = hr.run_privacy_game(cfg, str(tmp_path / f"s{seed}_{k}"),
+                                         cache_dir=cache, k_static=k)
+                static_tpr_res[k].append(rs.reports["chameleon"].tpr_at_resolution)
                 static_tpr_5[k].append(rs.reports["chameleon"].tpr_at[0.05])
         elapsed = time.perf_counter() - start
 

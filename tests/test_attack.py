@@ -178,25 +178,32 @@ class TestLabelOnlySeam:
 
 
 class TestScoreRecords:
-    def test_score_bounds_validated(self):
-        with pytest.raises(ValueError):
-            atk.ScoreRecord(0, 0, 1.5, True, "chameleon")
+    def test_score_bounds_validated(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        for score in (1.5, -0.5, float("nan")):
+            atk.write_scores_csv(str(path), {"chameleon": np.array([[score]])},
+                                 np.array([[True]]), np.array([0]))
+            with pytest.raises(ValueError, match=r"score must be in \[0, 1\]"):
+                atk.read_scores_csv(str(path))
 
     def test_csv_round_trip(self, tmp_path):
-        records = [
-            atk.ScoreRecord(0, 1, 1 / 3, True, "chameleon"),
-            atk.ScoreRecord(5, 2, 0.0, False, "gap"),
-        ]
+        scores = {"chameleon": np.array([[1 / 3, 0.5], [1.0, 0.25]]),
+                  "gap": np.array([[0.0, 1.0], [1.0, 0.0]])}
+        truth = np.array([[True, False], [False, True]])
         path = tmp_path / "scores.csv"
-        atk.write_scores_csv(str(path), records)
+        atk.write_scores_csv(str(path), scores, truth, np.array([5, 0]))
+        assert path.read_text().splitlines() == [
+            "attack,challenge_index,model_id,truth,score",
+            "chameleon,5,0,1,0.3333333333333333", "chameleon,0,0,0,0.5",
+            "chameleon,5,1,0,1.0", "chameleon,0,1,1,0.25",
+            "gap,5,0,1,0.0", "gap,0,0,0,1.0", "gap,5,1,0,1.0", "gap,0,1,1,0.0"]
         loaded = atk.read_scores_csv(str(path))
-        assert loaded == records
+        assert loaded == {attack: (s[truth].tolist(), s[~truth].tolist())
+                          for attack, s in scores.items()}
 
-    def test_split_scores(self):
-        records = [
-            atk.ScoreRecord(0, 0, 0.9, True, "chameleon"),
-            atk.ScoreRecord(0, 1, 0.4, False, "chameleon"),
-            atk.ScoreRecord(0, 0, 1.0, True, "gap"),
-        ]
-        s_in, s_out = atk.split_scores(records, "chameleon")
+    def test_split_scores(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("attack,challenge_index,model_id,truth,score\n"
+                        "chameleon,0,0,1,0.9\nchameleon,0,1,0,0.4\ngap,0,0,1,1.0\n")
+        s_in, s_out = atk.read_scores_csv(str(path))["chameleon"]
         assert (s_in, s_out) == ([0.9], [0.4])

@@ -20,6 +20,10 @@ logging.disable(logging.WARNING)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def broken_gen_neighbors(*args, **kwargs):
+    raise RuntimeError("neighbour generation failed")
+
+
 def tiny_config(**overrides) -> hc.ExperimentConfig:
     base = dict(
         dataset=hc.DatasetConfig(num_classes=4, dim=8, n_per_class=10, class_sep=2.5),
@@ -187,16 +191,18 @@ class TestModelCache:
         assert third.cost.cache_misses == 0
 
     def test_manifest_without_checksum_is_retrained(self, tmp_path):
+        # The same holds for a manifest that lost its dims.
         cfg = tiny_config(num_challenge_points=2)
         cache = tmp_path / "cache"
         hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
         manifest = sorted((cache / "models").glob("*.json"))[0]
-        doc = json.loads(manifest.read_text())
-        assert len(doc.pop("sha256")) == 64
-        manifest.write_text(json.dumps(doc))
-        rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
-        assert rerun.cost.cache_misses == 1
-        assert "sha256" in json.loads(manifest.read_text())
+        for key, size in (("sha256", 64), ("dims", 3)):
+            doc = json.loads(manifest.read_text())
+            assert len(doc.pop(key)) == size
+            manifest.write_text(json.dumps(doc))
+            rerun = hr.run_privacy_game(cfg, str(tmp_path / key), cache_dir=str(cache))
+            assert rerun.cost.cache_misses == 1, key
+            assert key in json.loads(manifest.read_text())
         assert not list((cache / "models").glob("*.tmp"))
 
 
@@ -205,7 +211,10 @@ class TestPrivacyGame:
         cfg = tiny_config()
         result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
         per_attack = cfg.num_target_models * cfg.num_challenge_points
-        assert len(result.records) == per_attack * len(cfg.attacks)
+        shape = (cfg.num_target_models, cfg.num_challenge_points)
+        assert list(result.scores) == list(cfg.attacks)
+        assert all(s.shape == shape for s in result.scores.values())
+        assert result.truth.shape == shape
         for attack, report in result.reports.items():
             assert report.n_in == report.n_out == per_attack // 2
 
@@ -257,23 +266,21 @@ class TestPrivacyGame:
     def test_static_zero_equals_no_poisoning_pipeline(self, tmp_path):
         cfg = tiny_config()
         cache = str(tmp_path / "cache")
-        hr.run_static_baseline(cfg, 0, str(tmp_path / "s0"), cache_dir=cache)
+        hr.run_privacy_game(cfg, str(tmp_path / "s0"), cache_dir=cache, k_static=0)
         no_poison = replace(cfg, poison=replace(cfg.poison, t_p=1.0))
         hr.run_privacy_game(no_poison, str(tmp_path / "np"), cache_dir=cache)
         assert ((tmp_path / "s0" / "scores.csv").read_bytes()
                 == (tmp_path / "np" / "scores.csv").read_bytes())
 
     def test_static_counts_are_fixed(self, tmp_path):
-        result = hr.run_static_baseline(tiny_config(), 2, str(tmp_path / "s2"))
+        result = hr.run_privacy_game(tiny_config(), str(tmp_path / "s2"), k_static=2)
         assert result.replica_counts.tolist() == [2, 2, 2]
 
     def test_negative_k_static_rejected_before_any_write(self, tmp_path):
         out = tmp_path / "run"
-        for run in (lambda: hr.run_privacy_game(tiny_config(), str(out), k_static=-1),
-                    lambda: hr.run_static_baseline(tiny_config(), -1, str(out))):
-            with pytest.raises(hc.ConfigError, match="k_static must be >= 0"):
-                run()
-            assert not out.exists()
+        with pytest.raises(hc.ConfigError, match="k_static must be >= 0"):
+            hr.run_privacy_game(tiny_config(), str(out), k_static=-1)
+        assert not out.exists()
 
     def test_game_strict_mode_runs(self, tmp_path):
         cfg = tiny_config(num_challenge_points=2)
@@ -307,12 +314,9 @@ class TestPrivacyGame:
     def test_membership_balanced_per_challenge_point(self, tmp_path):
         cfg = tiny_config(num_target_models=6)
         result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
-        gap_records = [r for r in result.records if r.attack_name == "gap"]
-        by_point = {}
-        for r in gap_records:
-            by_point.setdefault(r.challenge_index, []).append(r.truth)
-        for point, truths in by_point.items():
-            assert sum(truths) == 3, f"point {point} not balanced"
+        assert result.truth.shape == (6, cfg.num_challenge_points)
+        for point, members in enumerate(result.truth.sum(axis=0).tolist()):
+            assert members == 3, f"point {point} not balanced"
 
     def test_poison_plan_references_model_files(self, tmp_path):
         # One ref per shadow model on every poison path: adaptive, static, strict.
@@ -326,15 +330,11 @@ class TestPrivacyGame:
             for ref in plan["models"]:
                 assert (out / "cache" / (ref + ".bin")).exists(), (name, ref)
 
-    def test_stage_failure_names_the_stage(self, tmp_path):
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text("f0,f1,label\n0.5,1.0,0\n1.5,0.0,1\n")
-        cfg = tiny_config(
-            dataset=hc.DatasetConfig(kind="csv", csv_path=str(csv_path)))
-        csv_path.unlink()  # vanish between config load and the dataset stage
+    def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         with pytest.raises(hr.StageError) as err:
-            hr.run_privacy_game(cfg, str(tmp_path / "run"))
-        assert err.value.stage == "dataset"
+            hr.run_privacy_game(tiny_config(), str(tmp_path / "run"))
+        assert err.value.stage == "neighborhood"
 
     def test_no_signal_dataset_scores_near_chance(self, tmp_path):
         # Poisoning disabled and classes statistically indistinguishable:
@@ -358,7 +358,7 @@ class TestBinaryModality:
             neighborhood=hc.NeighborhoodConfig(size=8, pool_size=24),
             num_target_models=6, num_challenge_points=4)
         result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
-        assert len(result.records) == 6 * 4 * 2
+        assert sum(s.size for s in result.scores.values()) == 6 * 4 * 2
         assert result.reports["chameleon"].auc >= 0.5
         # Neighbor candidates must stay binary under the bit-flip modality.
         diag = (tmp_path / "run" / "neighborhood_diagnostics.csv").read_text()
@@ -410,6 +410,11 @@ class TestCli:
         assert cli.main(["metrics", "--scores", str(out / "scores.csv")]) == 0
         printed = capsys.readouterr().out
         assert "chameleon" in printed and "gap" in printed
+        # The re-read scores give the run's own reports.
+        for line in printed.strip().splitlines():
+            attack, report = line.split(": ", 1)
+            assert json.loads(report) == json.loads(
+                (out / f"metrics_{attack}.json").read_text()), attack
         assert cli.main(["cost", "--run", str(out)]) == 0
 
     def test_seed_override_changes_outputs(self, tmp_path):
@@ -429,21 +434,13 @@ class TestCli:
         bad.write_text("{\"num_target_models\": 5}")
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
-    def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        csv_path = tmp_path / "gone.csv"
-        csv_path.write_text("f0,label\n0.5,0\n1.5,1\n")
+    def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "dataset": {"kind": "csv", "csv_path": str(csv_path)},
-            "hidden_sizes": [4],
-            "train": {"epochs": 1, "learning_rate": 0.1},
-            "poison": {"m": 2, "k_max": 1},
-            "neighborhood": {"size": 2, "pool_size": 4},
-            "num_target_models": 2, "num_challenge_points": 1, "eval_size": 4}))
-        csv_path.unlink()
+        hc.dump_config(tiny_config(), str(cfg_path))
+        monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
-        assert "stage 'dataset'" in capsys.readouterr().err
+        assert "stage 'neighborhood'" in capsys.readouterr().err
 
     def test_bad_csv_input_exit_code(self, tmp_path, capsys):
         # Bad input is a config error that names the file, not a stage failure.
@@ -453,10 +450,13 @@ class TestCli:
             "ragged.csv": ("f0,f1,label\n0.5,1.0,0\n1.5,1\n", "data row 2 has 2 fields"),
             "header_only.csv": ("f0,label\n", "no data rows"),
             "negative_label.csv": ("f0,label\n0.5,0\n1.5,-1\n", "labels out of range"),
+            "one_class.csv": ("f0,label\n0.5,0\n1.5,0\n", "labels span fewer than 2 classes"),
+            "missing.csv": (None, "[Errno 2] No such file or directory"),
         }
         cases = [({"kind": "csv"}, "csv datasets need csv_path")]
         for name, (text, why) in bad.items():
-            (tmp_path / name).write_text(text)
+            if text is not None:
+                (tmp_path / name).write_text(text)
             cases.append(({"kind": "csv", "csv_path": str(tmp_path / name)},
                           f"{tmp_path / name}: {why}"))
         cfg_path = tmp_path / "cfg.json"
@@ -471,6 +471,7 @@ class TestCli:
                              "--out", str(tmp_path / "o")]) == 1, why
             err = capsys.readouterr().err
             assert err.startswith("config error:") and why in err, err
+            assert not (tmp_path / "o").exists(), why
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -267,7 +267,7 @@ class TestExport:
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), {0: result}, {0: cands})
+        nb.export_diagnostics_csv(str(path), [result], [cands])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "challenge_index,candidate_hash,kl_in,kl_out,admitted,selected"
         assert len(lines) == 3
@@ -279,12 +279,12 @@ class TestExport:
         # Reference: the same rows through csv.writer, extreme floats included.
         gen = np.random.default_rng(4)
         kls = [0.0, -0.0, 5e-324, 1e300, math.inf, math.nan, 0.1, 1 / 3]
-        per_point, pools = {}, {}
-        for point in (7, 2):
-            pools[point] = gen.normal(0, 1, (len(kls), 3))
+        per_point, pools = [], []
+        for point in range(2):
+            pools.append(gen.normal(0, 1, (len(kls), 3)))
             diags = [nb.CandidateDiagnostics(j, kls[j], kls[-1 - j], j % 2 == 0, j < 3)
                      for j in range(len(kls))]
-            per_point[point] = nb.NeighborhoodSet(False, diags, pools[point][:3])
+            per_point.append(nb.NeighborhoodSet(False, diags, pools[point][:3]))
         path = tmp_path / "diag.csv"
         nb.export_diagnostics_csv(str(path), per_point, pools)
 
@@ -293,8 +293,8 @@ class TestExport:
             writer = csv.writer(f)
             writer.writerow(["challenge_index", "candidate_hash", "kl_in", "kl_out",
                              "admitted", "selected"])
-            for point in sorted(per_point):
-                for d in per_point[point].diagnostics:
+            for point, chosen in enumerate(per_point):
+                for d in chosen.diagnostics:
                     row = pools[point][d.index].astype("<f8").tobytes()
                     writer.writerow([point, hashlib.sha256(row).hexdigest()[:16],
                                      repr(d.kl_in), repr(d.kl_out),
