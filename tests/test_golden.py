@@ -18,7 +18,8 @@ directly with ``nncore.train``: one with weight decay, two hidden layers and
 a ragged last batch; one with DP-SGD noise; one with DP-SGD noise, two hidden
 layers and a ragged last batch; and one whose every step is a single batch
 shorter than ``batch_size``. Each model pins its ``save_model`` blob and its
-manifest. After an intended output change,
+manifest. ``ABLATION`` pins the ``ablation.csv`` of a two-value ``t_nb``
+ablation of the gaussian game. After an intended output change,
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
@@ -160,6 +161,11 @@ GOLDEN_MODELS = {
 }
 
 
+# (knob, values) of the pinned ablation of ``_tiny()``, and its digest.
+ABLATION = ("t_nb", [0.5, 2.0])
+GOLDEN_ABLATION = "544a97bded966d6d5d03a5bfc5de213834f203931ce5d3b1ed92d3d011026e49"
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -195,6 +201,12 @@ def run_digests(name: str, out_dir: str) -> dict[str, str]:
     return {file: _sha256(os.path.join(out_dir, file)) for file in CHECKED}
 
 
+def ablation_digest(out_root: str) -> str:
+    knob, values = ABLATION
+    hr.run_ablation(_tiny(), knob, values, out_root)
+    return _sha256(os.path.join(out_root, "ablation.csv"))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_recorded_digests(name, tmp_path):
     assert run_digests(name, str(tmp_path)) == GOLDEN[name]
@@ -203,6 +215,10 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_trained_model_blobs_match_recorded_digests(name, tmp_path):
     assert model_digest(name, str(tmp_path)) == GOLDEN_MODELS[name]
+
+
+def test_ablation_csv_matches_recorded_digest(tmp_path):
+    assert ablation_digest(str(tmp_path)) == GOLDEN_ABLATION
 
 
 if __name__ == "__main__":
@@ -216,3 +232,5 @@ if __name__ == "__main__":
     for model in sorted(MODELS):
         with tempfile.TemporaryDirectory() as tmp:
             print(model, model_digest(model, tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("ablation", ablation_digest(tmp))
