@@ -53,27 +53,6 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
-@dataclass
-class SplitPlan:
-    """Training-membership bits: model j trains on point i iff inclusion[j, i].
-
-    Challenge columns carry exactly num_models/2 set bits (balanced IN/OUT);
-    every other column is Bernoulli(1/2).
-    """
-
-    inclusion: np.ndarray
-
-    @property
-    def num_models(self) -> int:
-        return self.inclusion.shape[0]
-
-    def in_rows(self, point: int) -> np.ndarray:
-        return np.flatnonzero(self.inclusion[:, point])
-
-    def out_rows(self, point: int) -> np.ndarray:
-        return np.flatnonzero(~self.inclusion[:, point])
-
-
 def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
                          class_sep: float, seed: int) -> Dataset:
     """Gaussian classes N(mu_c, I) with mu_c = class_sep * e_c.
@@ -115,8 +94,12 @@ def gen_binary_tabular(num_classes: int, dim: int, n_per_class: int,
 
 
 def make_split_plan(n_points: int, challenge_indices, num_models: int,
-                    seed: int) -> SplitPlan:
-    """Balanced inclusion for challenge points, Bernoulli(1/2) elsewhere."""
+                    seed: int) -> np.ndarray:
+    """Training-membership bits as a [num_models, n_points] bool matrix:
+    model j trains on point i iff ``split[j, i]``.
+
+    Challenge columns carry exactly num_models/2 set bits (balanced IN/OUT);
+    every other column is Bernoulli(1/2)."""
     if num_models % 2 != 0:
         raise ValueError("num_models must be even")
     challenge_indices = sorted(int(i) for i in challenge_indices)
@@ -130,7 +113,7 @@ def make_split_plan(n_points: int, challenge_indices, num_models: int,
         col = np.zeros(num_models, dtype=bool)
         col[gen.permutation(num_models)[:half]] = True
         inclusion[:, i] = col
-    return SplitPlan(inclusion)
+    return inclusion
 
 
 def gen_neighbors(x: np.ndarray, modality: str, count: int,
@@ -203,8 +186,9 @@ def load_dataset(stem: str) -> Dataset:
                    manifest["num_classes"])
 
 
-def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
-    """Import tabular data: header row, last column is the integer label.
+def load_csv_dataset(path: str) -> Dataset:
+    """Import tabular data: header row, last column is the integer label;
+    the class count is the largest label plus one.
 
     Raises ValueError when the file has no data rows, a row's length differs
     from the header's, a cell does not parse, a label is out of range, or
@@ -222,9 +206,7 @@ def load_csv_dataset(path: str, num_classes: int | None = None) -> Dataset:
             raise ValueError(f"data row {i} has {len(row)} fields, the header {len(header)}")
     feats = np.array([[float(v) for v in row[:-1]] for row in rows])
     labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    ds = Dataset(feats, labels, num_classes)
+    ds = Dataset(feats, labels, int(labels.max()) + 1)
     if ds.num_classes < 2:
         raise ValueError("labels span fewer than 2 classes")
     return ds

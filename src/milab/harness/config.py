@@ -90,6 +90,8 @@ class ExperimentConfig:
         unknown = set(self.attacks) - {CHAMELEON, GAP}
         if unknown:
             raise ConfigError(f"unknown attacks: {sorted(unknown)}")
+        if not self.attacks or len(set(self.attacks)) != len(self.attacks):
+            raise ConfigError("attacks must be non-empty and distinct")
         d = self.dataset
         if d.kind != "csv" and self.num_challenge_points > d.num_classes * d.n_per_class:
             raise ConfigError("more challenge points than pool points")
@@ -160,9 +162,3 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(doc)
-
-
-def dump_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.canonical_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -219,9 +219,9 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
         plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.many, poison_seed)
         plan.replica_counts = np.full(len(challenges), k_static, dtype=np.int64)
     shadow = plan.shadow_models
-    in_models = [[shadow[row] for row in plan.split.in_rows(int(idx))]
+    in_models = [[shadow[row] for row in np.flatnonzero(plan.split[:, idx])]
                  for idx in challenges.indices]
-    out_models = [[shadow[row] for row in plan.split.out_rows(int(idx))]
+    out_models = [[shadow[row] for row in np.flatnonzero(~plan.split[:, idx])]
                   for idx in challenges.indices]
     return plan, in_models, out_models
 
@@ -233,7 +233,6 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
     IN ensembles for the neighborhood are trained separately."""
     counts = np.zeros(len(challenges), dtype=np.int64)
     in_models, out_models = [], []
-    models_trained = 0
     for pos in range(len(challenges)):
         idx = int(challenges.indices[pos])
         keep = np.setdiff1d(np.arange(len(pool)), [idx])
@@ -253,15 +252,14 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         counts[pos] = adapt_poison_single(
             (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
             train_out, seed=seed_i)
-        models_trained += cfg.poison.m * (int(counts[pos]) + 1)
         with_point = Dataset(np.concatenate([d_i.features, x[None, :]]),
                              np.concatenate([d_i.labels, [y]]), pool.num_classes)
         in_models.append(trainer.many(
             [(with_point, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))
-        models_trained += cfg.poison.m
+    # The poison stage is the trainer's first user: every key so far is ours.
     plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
-                      models_trained=models_trained)
+                      models_trained=len(trainer.keys))
     return plan, in_models, out_models
 
 
@@ -290,16 +288,17 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
     """Challenger target models: half-pool splits, balanced membership per
     challenge point, plus the attacker's poisoned replicas.
 
-    Returns the split plan, each target's training set and the targets."""
+    Returns the [target, point] membership matrix, each target's training
+    set and the targets."""
     split = make_split_plan(len(pool), challenges.indices, cfg.num_target_models,
                             derive_seed(cfg.master_seed, TAG_TARGET_SPLIT))
     half = cfg.num_target_models // 2
     for idx in challenges.indices:
-        assert split.inclusion[:, int(idx)].sum() == half, \
+        assert split[:, idx].sum() == half, \
             "challenge membership must be balanced across target models"
     train_sets = [build_poisoned_training_set(pool.subset(np.flatnonzero(row)),
                                               plan.replica_counts, challenges)
-                  for row in split.inclusion]
+                  for row in split]
     seeds = [derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)
              for j in range(cfg.num_target_models)]
     return split, train_sets, trainer.many(list(zip(train_sets, seeds)))
@@ -429,7 +428,7 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         # The poison stage is the trainer's first user, so every key so far
         # is a shadow model's.
         model_refs = [f"models/{key}" for key in trainer.keys]
-        save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs=model_refs)
+        save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs)
     with _stage("neighborhood", stage_seconds):
         neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,
                                              artifacts["neighborhoods"])
@@ -440,7 +439,7 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
                                          train_sets, eval_ds)
     with _stage("scores", stage_seconds):
         scores, total_queries = _score(cfg, challenges, neighborhoods, targets)
-        truth = target_split.inclusion[:, challenges.indices]
+        truth = target_split[:, challenges.indices]
         write_scores_csv(artifacts["scores"], scores, truth, challenges.indices)
     with _stage("metrics", stage_seconds):
         reports = _write_metrics(scores, truth, out_dir, artifacts["metrics"])
@@ -490,7 +489,6 @@ def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
         raise ConfigError(f"unknown ablation knob {knob!r}; "
                           f"expected one of {tuple(ABLATION_KNOBS)}")
     variants = [(value, _apply_knob(cfg, knob, value)) for value in values]
-    os.makedirs(out_root, exist_ok=True)
     cache_dir = cache_dir if cache_dir is not None else os.path.join(out_root, "cache")
     rows = []
     for value, variant in variants:

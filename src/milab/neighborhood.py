@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import LOGIT_EPS, logit
+from .nncore import logit
 
 VAR_FLOOR = 1e-6
 
@@ -46,11 +46,11 @@ class NeighborhoodSet:
     features: np.ndarray = field(compare=False, repr=False)
 
 
-def _logit_matrix(points: np.ndarray, y: int, models, eps: float) -> np.ndarray:
+def _logit_matrix(points: np.ndarray, y: int, models) -> np.ndarray:
     """Per-model logit confidences on label y, shape [num_points, num_models]."""
     probs = np.stack([np.asarray(m.predict_proba_batch(points))[:, y] for m in models],
                      axis=1)
-    return logit(probs, eps)
+    return logit(probs)
 
 
 def _moments(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +89,7 @@ def _kl_to_challenge(logits: np.ndarray) -> np.ndarray:
 
 
 def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarray,
-                        in_models, out_models, t_nb: float, n: int,
-                        eps: float = LOGIT_EPS) -> NeighborhoodSet:
+                        in_models, out_models, t_nb: float, n: int) -> NeighborhoodSet:
     """Admit candidates (rows of ``candidates``) whose IN and OUT logit fits
     are both KL-close.
 
@@ -108,8 +107,8 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
 
     # One batched pass per model over [challenge, candidates...].
     points = np.vstack([np.asarray(x, dtype=np.float64)[None, :], candidates])
-    kl_in = _kl_to_challenge(_logit_matrix(points, y, in_models, eps))
-    kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models, eps))
+    kl_in = _kl_to_challenge(_logit_matrix(points, y, in_models))
+    kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models))
     passed = (kl_in <= t_nb) & (kl_out <= t_nb)
 
     # Passing candidates by (max KL, index), then failing ones the same way.

@@ -24,7 +24,6 @@ import numpy as np
 
 from .rng import make_rng
 
-DEFAULT_HIDDEN = (128,)
 LOGIT_EPS = 1e-7
 
 # Layer parameters as plain arrays: list of (W [out, in], b [out]).
@@ -261,8 +260,7 @@ def _apply_update(params: np.ndarray, grad: np.ndarray, decay: np.ndarray,
     params -= grad
 
 
-def train(dataset, config: TrainConfig,
-          hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN) -> ModelParams:
+def train(dataset, config: TrainConfig, hidden_sizes: tuple[int, ...]) -> ModelParams:
     """Train an MLP on the dataset; deterministic in (dataset, config).
 
     Runs ``config.epochs`` passes of mini-batch SGD (shuffled each epoch from
@@ -323,25 +321,20 @@ def train(dataset, config: TrainConfig,
     return ModelParams(params.astype(np.float32), dims)
 
 
-def predict_labels(model: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Argmax labels for a batch (ties resolved to the lowest class index)."""
-    return np.argmax(model.predict_proba_batch(X), axis=1)
-
-
 def accuracy(model: ModelParams, dataset) -> float:
-    return float(np.mean(predict_labels(model, dataset.features) == dataset.labels))
+    """Fraction of the dataset whose argmax label is its true label."""
+    labels = np.argmax(model.predict_proba_batch(dataset.features), axis=1)
+    return float(np.mean(labels == dataset.labels))
 
 
-def logit(p, eps: float = LOGIT_EPS):
-    """Scaled confidence ln(p/(1-p)) with p clamped to [eps, 1-eps].
+def logit(p):
+    """Scaled confidence ln(p/(1-p)) with p clamped to [LOGIT_EPS, 1-LOGIT_EPS].
 
     Elementwise on an array (same shape back); a float for a scalar. The log
     is ``math.log`` on each element, because numpy's ``np.log`` can differ
     from it in the last bit.
     """
-    if not 0 < eps < 0.5:
-        raise ValueError("eps must be in (0, 0.5)")
-    q = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+    q = np.clip(np.asarray(p, dtype=np.float64), LOGIT_EPS, 1.0 - LOGIT_EPS)
     ratio = q / (1.0 - q)
     out = np.fromiter(map(math.log, ratio.ravel().tolist()), dtype=np.float64,
                       count=ratio.size).reshape(ratio.shape)

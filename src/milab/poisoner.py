@@ -13,13 +13,12 @@ challenge points there are.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from .datagen import Dataset, SplitPlan, make_split_plan
+from .datagen import Dataset, make_split_plan
 from .rng import derive_seed
 
 # Trainer seam: a list of (training set, model seed) jobs -> one model per
@@ -65,13 +64,11 @@ class ChallengeSet:
         return len(self.indices)
 
 
-def make_challenge_set(dataset: Dataset, indices, label_shift: int = 1) -> ChallengeSet:
-    """Challenge set with poisoned labels y' = (y + label_shift) mod C."""
+def make_challenge_set(dataset: Dataset, indices) -> ChallengeSet:
+    """Challenge set with poisoned labels y' = (y + 1) mod C."""
     idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
     labels = dataset.labels[idx]
-    if label_shift % dataset.num_classes == 0:
-        raise ValueError("label_shift must not be a multiple of num_classes")
-    poisoned = (labels + label_shift) % dataset.num_classes
+    poisoned = (labels + 1) % dataset.num_classes
     return ChallengeSet(idx, dataset.features[idx].copy(), labels, poisoned)
 
 
@@ -79,13 +76,13 @@ def make_challenge_set(dataset: Dataset, indices, label_shift: int = 1) -> Chall
 class PoisonPlan:
     """Replica counts chosen by the adaptive loop, how many shadow models it
     trained, and the poison-free ones of iteration 0: ``shadow_models[row]``
-    was trained on split row ``row``."""
+    was trained on the points of ``split[row]``."""
 
     replica_counts: np.ndarray
     iterations_run: int            # index of the last executed iteration
     models_trained: int = 0
     shadow_models: list[Any] = field(default_factory=list)
-    split: SplitPlan | None = None
+    split: np.ndarray | None = None
 
 
 def build_poisoned_training_set(base: Dataset, counts: np.ndarray,
@@ -152,7 +149,7 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     frozen = np.zeros(n_c, dtype=bool)
     shadow_models: list[Any] = []
     models_trained = 0
-    out_rows = [split.out_rows(int(i)) for i in challenges.indices]
+    out_rows = [np.flatnonzero(~split[:, i]) for i in challenges.indices]
     for rows in out_rows:
         assert len(rows) == cfg.m, "split plan must give m OUT models per point"
 
@@ -163,7 +160,7 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
         extra = np.arange(len(d_adv), len(poisoned))
         jobs = []
         for row in range(2 * cfg.m):
-            subset_idx = np.flatnonzero(split.inclusion[row])
+            subset_idx = np.flatnonzero(split[row])
             train_set = poisoned.subset(np.concatenate([subset_idx, extra]))
             jobs.append((train_set, derive_seed(seed, 1 + iteration, row)))
         # The 2m trainings inside one iteration are independent; the trainer
@@ -192,7 +189,7 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
 
 
 def save_poison_plan(plan: PoisonPlan, challenges: ChallengeSet, path: str,
-                     model_refs: list[str] | None = None) -> None:
+                     model_refs: list[str]) -> None:
     """Plan manifest: per-point counts, poisoned labels, split bits, model refs."""
     doc = {
         "replica_counts": [int(k) for k in plan.replica_counts],
@@ -200,9 +197,8 @@ def save_poison_plan(plan: PoisonPlan, challenges: ChallengeSet, path: str,
         "challenge_indices": [int(i) for i in challenges.indices],
         "poisoned_labels": [int(y) for y in challenges.poisoned_labels],
         "split_inclusion": (
-            plan.split.inclusion.astype(int).tolist() if plan.split is not None else None),
-        "models": model_refs or [],
+            plan.split.astype(int).tolist() if plan.split is not None else None),
+        "models": model_refs,
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -78,15 +78,14 @@ class TestBinaryTabular:
 
 class TestSplitPlan:
     def test_challenge_columns_exactly_balanced(self):
-        plan = dg.make_split_plan(50, [3, 17, 40], num_models=16, seed=0)
+        split = dg.make_split_plan(50, [3, 17, 40], num_models=16, seed=0)
+        assert split.shape == (16, 50) and split.dtype == bool
         for i in (3, 17, 40):
-            assert plan.inclusion[:, i].sum() == 8
-            assert len(plan.in_rows(i)) == 8
-            assert len(plan.out_rows(i)) == 8
+            assert split[:, i].sum() == 8
 
     def test_no_challenges_is_all_bernoulli(self):
-        plan = dg.make_split_plan(2000, [], num_models=4, seed=1)
-        frac = plan.inclusion.mean()
+        split = dg.make_split_plan(2000, [], num_models=4, seed=1)
+        frac = split.mean()
         assert abs(frac - 0.5) < 0.03
 
     def test_all_joint_patterns_appear_across_seeds(self):
@@ -94,10 +93,10 @@ class TestSplitPlan:
         # should show up somewhere over enough seeds.
         seen = {0: set(), 1: set()}
         for seed in range(200):
-            plan = dg.make_split_plan(2, [0, 1], num_models=4, seed=seed)
+            split = dg.make_split_plan(2, [0, 1], num_models=4, seed=seed)
             for col in (0, 1):
-                assert plan.inclusion[:, col].sum() == 2
-                seen[col].add(tuple(plan.inclusion[:, col].tolist()))
+                assert split[:, col].sum() == 2
+                seen[col].add(tuple(split[:, col].tolist()))
         expected = set()
         for rows in combinations(range(4), 2):
             pattern = [False] * 4
@@ -118,9 +117,9 @@ class TestSplitPlan:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_balance_holds_for_any_seed(self, seed):
-        plan = dg.make_split_plan(12, [0, 5, 11], num_models=6, seed=seed)
+        split = dg.make_split_plan(12, [0, 5, 11], num_models=6, seed=seed)
         for i in (0, 5, 11):
-            assert plan.inclusion[:, i].sum() == 3
+            assert split[:, i].sum() == 3
 
 
 class TestNeighbors:

@@ -3,16 +3,21 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from milab.attack import CHAMELEON, GAP
 from milab.harness import cache as hcache
 from milab.harness import cli
 from milab.harness import config as hc
 from milab.harness import runner as hr
-from milab.nncore import TrainConfig
+from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 
 logging.disable(logging.WARNING)
@@ -44,7 +49,7 @@ class TestConfig:
     def test_round_trip_through_json(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
-        hc.dump_config(cfg, str(path))
+        path.write_text(json.dumps(cfg.canonical_dict()))
         loaded = hc.load_config(str(path))
         assert loaded.canonical_dict() == cfg.canonical_dict()
 
@@ -100,6 +105,17 @@ class TestConfig:
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_empty_or_repeated_attacks_rejected(self, tmp_path):
+        for attacks in ((), (GAP, GAP)):
+            with pytest.raises(hc.ConfigError, match="non-empty and distinct"):
+                tiny_config(attacks=attacks)
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        for attacks in ([], [CHAMELEON, GAP, CHAMELEON]):
+            cfg_path.write_text(json.dumps({"attacks": attacks}))
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_workers_excluded_from_canonical_form(self):
         a = tiny_config(workers=1)
@@ -392,6 +408,49 @@ class TestAblation:
             hr.run_ablation(tiny_config(), "t_p", ["0.1", "abc"], str(out_root))
         assert not out_root.exists()
 
+    def test_bad_csv_leaves_no_output_root(self, tmp_path):
+        cfg = tiny_config(dataset=hc.DatasetConfig(
+            kind="csv", csv_path=str(tmp_path / "missing.csv")))
+        out_root = tmp_path / "ab"
+        with pytest.raises(hc.ConfigError, match="bad csv dataset"):
+            hr.run_ablation(cfg, "t_nb", [0.5], str(out_root))
+        assert not out_root.exists()
+
+
+# The files the determinism contract holds byte-identical across worker
+# counts and between a cold run and a warm rerun on its cache.
+CONTRACT_FILES = ("scores.csv", "metrics.csv", "poison_plan.json",
+                  "neighborhood_diagnostics.csv")
+
+
+class TestDeterminismContract:
+    @given(kind=st.sampled_from(["gaussian", "binary"]),
+           master_seed=st.integers(0, 2**31 - 1),
+           attacks=st.lists(st.sampled_from([CHAMELEON, GAP]), min_size=1,
+                            max_size=2, unique=True),
+           dp=st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_workers_and_warm_cache_give_identical_bytes(self, kind, master_seed,
+                                                         attacks, dp):
+        dataset = (hc.DatasetConfig(num_classes=4, dim=8, n_per_class=10)
+                   if kind == "gaussian" else
+                   hc.DatasetConfig(kind="binary", num_classes=3, dim=12, n_per_class=12))
+        train = TrainConfig(epochs=8, learning_rate=0.1, batch_size=16,
+                            dp=DpConfig(clip_norm=2.0, noise_multiplier=0.5) if dp else None)
+        cfg = tiny_config(dataset=dataset, train=train, attacks=tuple(attacks),
+                          master_seed=master_seed)
+        # A function-scoped tmp_path would be shared by every example.
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [Path(tmp, name) for name in ("cold", "workers2", "warm")]
+            hr.run_privacy_game(cfg, str(runs[0]))
+            hr.run_privacy_game(replace(cfg, workers=2), str(runs[1]))
+            warm = hr.run_privacy_game(cfg, str(runs[2]),
+                                       cache_dir=str(runs[0] / "cache"))
+            assert warm.cost.cache_misses == 0
+            for name in CONTRACT_FILES:
+                cold, *others = [(run / name).read_bytes() for run in runs]
+                assert others == [cold, cold], name
+
 
 class TestCli:
     def test_theory_subcommand(self, capsys):
@@ -403,7 +462,7 @@ class TestCli:
 
     def test_run_and_metrics_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        hc.dump_config(tiny_config(), str(cfg_path))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -419,7 +478,7 @@ class TestCli:
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        hc.dump_config(tiny_config(), str(cfg_path))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r1"), "--seed", "5"]) == 0
         assert cli.main(["run", "--config", str(cfg_path),
@@ -436,7 +495,7 @@ class TestCli:
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        hc.dump_config(tiny_config(), str(cfg_path))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
@@ -482,7 +541,7 @@ class TestCli:
 
     def test_static_and_strict_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        hc.dump_config(tiny_config(num_challenge_points=2), str(cfg_path))
+        cfg_path.write_text(json.dumps(tiny_config(num_challenge_points=2).canonical_dict()))
         cache = str(tmp_path / "cache")
         assert cli.main(["static", "--config", str(cfg_path), "--k", "1",
                          "--out", str(tmp_path / "s1"), "--cache", cache]) == 0
@@ -492,7 +551,7 @@ class TestCli:
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        hc.dump_config(tiny_config(), str(cfg_path))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         assert cli.main(["ablate", "--config", str(cfg_path), "--knob",
                          "neighborhood_size", "--values", "4,8",
                          "--out", str(tmp_path / "ab")]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milab import nncore as nn
+from milab.attack import LabelOnlyModel
 from milab.datagen import Dataset, gen_gaussian_mixture
 
 
@@ -16,6 +17,11 @@ def params_equal(a: nn.ModelParams, b: nn.ModelParams) -> bool:
 def random_layers(gen, dims):
     return [(gen.normal(0, 0.5, (o, i)), gen.normal(0, 0.5, o))
             for i, o in zip(dims[:-1], dims[1:])]
+
+
+def labels(model, X) -> list[int]:
+    """Argmax labels through the label-only facade, the one label path."""
+    return LabelOnlyModel(model).predict_label_batch(X).tolist()
 
 
 def zero_grads(layers):
@@ -190,7 +196,7 @@ class TestPredict:
         model = nn.ModelParams(np.zeros(15, dtype=np.float32), [4, 3])
         x = np.array([0.3, -1.0, 2.0, 0.5])
         np.testing.assert_allclose(model.predict_proba(x), 1.0 / 3, atol=1e-12)
-        assert nn.predict_labels(model, x[None, :]).tolist() == [0]
+        assert labels(model, x[None, :]) == [0]
 
     def test_hand_built_model_favors_class_two(self):
         # One linear layer; weights route e_1 strongly to class 2.
@@ -199,7 +205,7 @@ class TestPredict:
         w[2, 0] = 5.0
         w[1, 0] = 1.0
         x = np.array([1.0, 0.0, 0.0])
-        assert nn.predict_labels(model, x[None, :]).tolist() == [2]
+        assert labels(model, x[None, :]) == [2]
         # Hand-computed softmax over logits (0, 1, 5, 0).
         z = np.array([0.0, 1.0, 5.0, 0.0])
         np.testing.assert_allclose(model.predict_proba(x), np.exp(z) / np.exp(z).sum(),
@@ -214,14 +220,14 @@ class TestPredict:
             x = gen.normal(0, 2, 5)
             probs = model.predict_proba(x)
             assert abs(probs.sum() - 1.0) < 1e-9
-            assert nn.predict_labels(model, x[None, :]).tolist() == [int(np.argmax(probs))]
+            assert labels(model, x[None, :]) == [int(np.argmax(probs))]
 
     def test_dimension_mismatch_raises(self):
         model = nn.init_params(4, (3,), 2, seed=0)
         with pytest.raises(ValueError):
             model.predict_proba(np.zeros(5))
         with pytest.raises(ValueError):
-            nn.predict_labels(model, np.zeros((2, 5)))
+            labels(model, np.zeros((2, 5)))
 
 
 class TestLogit:
@@ -229,18 +235,15 @@ class TestLogit:
         assert nn.logit(0.5) == 0.0
 
     def test_boundary_clamped_finite(self):
-        v = nn.logit(1.0, eps=1e-7)
+        assert nn.LOGIT_EPS == 1e-7
+        v = nn.logit(1.0)
         assert math.isfinite(v)
         assert v == pytest.approx(math.log((1 - 1e-7) / 1e-7), rel=1e-9)
-        assert math.isfinite(nn.logit(0.0, eps=1e-7))
+        assert math.isfinite(nn.logit(0.0))
 
     def test_reference_value(self):
         # ln 9 = 2.1972245773362193828...
         assert nn.logit(0.9) == pytest.approx(2.1972245773362196, abs=1e-12)
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError):
-            nn.logit(0.5, eps=0.7)
 
 
 class TestSerialization:

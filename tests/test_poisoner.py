@@ -105,8 +105,8 @@ class TestAdaptPoisonSingle:
 
 
 class TestAdaptPoisonMulti:
-    def make_challenges(self, d_adv, indices, shift=1):
-        return po.make_challenge_set(d_adv, indices, label_shift=shift)
+    def make_challenges(self, d_adv, indices):
+        return po.make_challenge_set(d_adv, indices)
 
     def multi_schedules(self, d_adv, challenges, mu_fns):
         schedules = {}
@@ -187,10 +187,10 @@ class TestAdaptPoisonMulti:
         cfg = po.PoisonConfig(t_p=1.0, m=4, k_max=2)
         plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
         for idx in (3, 20):
-            assert plan.split.inclusion[:, idx].sum() == 4
+            assert plan.split[:, idx].sum() == 4
         assert len(plan.shadow_models) == 8
         for row, model in enumerate(plan.shadow_models):
-            subset = np.flatnonzero(plan.split.inclusion[row])
+            subset = np.flatnonzero(plan.split[row])
             np.testing.assert_array_equal(model.train_set.features,
                                           d_adv.features[subset])
 
@@ -251,11 +251,6 @@ class TestChallengeSet:
         ds = base_dataset(n=10, num_classes=4)
         cs = po.make_challenge_set(ds, [0, 1, 2])
         assert np.array_equal(cs.poisoned_labels, (cs.labels + 1) % 4)
-
-    def test_full_cycle_shift_rejected(self):
-        ds = base_dataset(n=10, num_classes=4)
-        with pytest.raises(ValueError):
-            po.make_challenge_set(ds, [0], label_shift=4)
 
 
 class TestMonotoneTrendOnRealTrainer:
