@@ -62,13 +62,15 @@ def train_config_dict(cfg: nncore.TrainConfig) -> dict:
 class ModelCache:
     """Stores trained models under their dependency digest.
 
-    ``hits`` / ``misses`` count lookups during this process's lifetime.
+    ``hits`` / ``misses`` count lookups during this process's lifetime;
+    ``corrupt`` counts the misses on entries that existed but failed to load.
     """
 
     def __init__(self, root: str):
         self.root = root
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         os.makedirs(os.path.join(root, "models"), exist_ok=True)
 
     def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
@@ -93,6 +95,7 @@ class ModelCache:
                 model = nncore.load_model(stem)[0]
             except ValueError as exc:
                 logger.warning("damaged cache entry %s, retraining: %s", stem, exc)
+                self.corrupt += 1
             else:
                 self.hits += 1
                 return model

@@ -16,7 +16,7 @@ from dataclasses import replace
 from .. import __version__, metrics, theory
 from ..attack import read_scores_csv
 from .config import ConfigError, load_config
-from .runner import StageError, run_ablation, run_privacy_game
+from .runner import run_ablation, run_privacy_game
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -155,16 +155,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except StageError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary, StageError included
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -53,10 +53,9 @@ class NeighborhoodConfig:
     noise_scale: float | None = None   # default depends on modality
 
     def __post_init__(self):
-        if self.size < 0 or self.pool_size < 1:
-            raise ConfigError("neighborhood sizes must be positive")
-        if self.size > self.pool_size:
-            raise ConfigError("neighborhood size cannot exceed pool_size")
+        if not 0 <= self.size <= self.pool_size or self.pool_size < 1:
+            raise ConfigError("neighborhood needs size >= 0, pool_size >= 1 "
+                              "and size <= pool_size")
 
     def resolved_noise_scale(self, modality: str) -> float:
         if self.noise_scale is not None:
@@ -116,9 +115,7 @@ class ExperimentConfig:
 def _build(section: dict, cls, name: str):
     try:
         return cls(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from None
 
 

@@ -90,6 +90,7 @@ class CostReport:
     stage_seconds: dict[str, float]
     cache_hits: int
     cache_misses: int
+    cache_corrupt: int
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -269,17 +270,17 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
     point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``."""
     modality = cfg.dataset.modality
     noise = cfg.neighborhood.resolved_noise_scale(modality)
-    selected, pools = [], []
+    selected = []
     for pos in range(len(challenges)):
         x = challenges.features[pos]
         cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
                               derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
         # Round to float32 like the pool's features, in one cast per pool.
-        pools.append(cands.astype(np.float32).astype(np.float64))
+        cands = cands.astype(np.float32).astype(np.float64)
         selected.append(select_neighborhood(
-            (x, int(challenges.labels[pos])), pools[pos], in_models[pos],
-            out_models[pos], t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size))
-    export_diagnostics_csv(path, selected, pools)
+            (x, int(challenges.labels[pos])), cands, in_models[pos], out_models[pos],
+            t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size))
+    export_diagnostics_csv(path, challenges.indices, selected)
     return selected
 
 
@@ -320,50 +321,34 @@ def _write_model_stats(path: str, targets, train_sets, eval_ds: Dataset) -> dict
             "mean_eval_accuracy": float(np.mean(eval_accs))}
 
 
-def _query_groups(rows: list[int], cap: int) -> list[list[int]]:
-    """Consecutive point positions grouped so that no group holds more than
-    ``cap`` query rows; a point is never split (one larger than ``cap`` is a
-    group of its own)."""
-    groups: list[list[int]] = []
-    used = 0
-    for pos, n in enumerate(rows):
-        if not groups or used + n > cap:
-            groups.append([])
-            used = 0
-        groups[-1].append(pos)
-        used += n
-    return groups
-
-
 def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
            neighborhoods: list[NeighborhoodSet],
            targets) -> tuple[dict[str, np.ndarray], int]:
     """Per attack, the [target, point] matrix of label-only scores, and the
     number of label queries they took.
 
-    Each target answers one label query batch per group of whole points. A
-    group holds at most ``pool_size + 1`` rows, the batch size the
-    neighborhood stage already runs, so batching adds no peak memory."""
+    Each target answers one label query batch per run of consecutive points:
+    ``(pool_size + 1) // (size + 1)`` points for chameleon, which queries each
+    point with its ``size`` neighbors, and ``pool_size + 1`` for gap. So a
+    batch holds at most ``pool_size + 1`` rows, the batch size the
+    neighborhood stage already runs, and batching adds no peak memory."""
     points = [(challenges.features[pos], int(challenges.labels[pos]))
               for pos in range(len(challenges))]
     cap = cfg.neighborhood.pool_size + 1
     scores: dict[str, np.ndarray] = {}
     total_queries = 0
     for attack in cfg.attacks:
-        rows = [len(nb.features) + 1 if attack == CHAMELEON else 1
-                for nb in neighborhoods]
-        groups = _query_groups(rows, cap)
+        run = cap // (cfg.neighborhood.size + 1) if attack == CHAMELEON else cap
         matrix = scores[attack] = np.empty((len(targets), len(points)))
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
             row: list[float] = []
-            for group in groups:
-                group_points = [points[pos] for pos in group]
+            for start in range(0, len(points), run):
+                batch = slice(start, start + run)
                 if attack == CHAMELEON:
-                    row += chameleon_score(facade, group_points,
-                                           [neighborhoods[pos] for pos in group])
+                    row += chameleon_score(facade, points[batch], neighborhoods[batch])
                 else:
-                    row += gap_score(facade, group_points)
+                    row += gap_score(facade, points[batch])
             matrix[j] = row
             total_queries += facade.query_count
     return scores, total_queries
@@ -452,7 +437,8 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
             total_label_queries=total_queries,
             stage_seconds=stage_seconds,
             cache_hits=cache.hits,
-            cache_misses=cache.misses)
+            cache_misses=cache.misses,
+            cache_corrupt=cache.corrupt)
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
             json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
         _write_manifest(cfg, out_dir, artifacts, stage_seconds)

@@ -3,15 +3,16 @@ KL-divergence candidate selection.
 
 For a point (x, y), the logit of the model confidence on label y is fitted
 with a Gaussian separately over IN shadow models (trained with the point) and
-OUT models (trained without it).  A candidate neighbor is admitted when its
-IN and OUT fits are both within a KL threshold of the challenge point's fits,
-with the candidate distribution as the first KL argument.  The shadow models
-used here carry no poison.
+OUT models (trained without it), and each candidate neighbor's fits are
+compared with the point's by KL divergence, the candidate distribution as the
+first argument.  The neighborhood is the ``n`` candidates of the pool with the
+smallest max(kl_in, kl_out), ties going to the lower row; the KL threshold
+only flags which candidates are admitted.  The shadow models used here carry
+no poison.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,6 @@ VAR_FLOOR = 1e-6
 
 @dataclass
 class CandidateDiagnostics:
-    index: int
     kl_in: float
     kl_out: float
     admitted: bool
@@ -35,10 +35,10 @@ class CandidateDiagnostics:
 class NeighborhoodSet:
     """Selected neighbors with their KL diagnostics.
 
-    ``features`` holds the members' features as one [n, dim] matrix, n at
-    most the configured size. When fewer candidates pass the threshold than
-    requested, the set is topped up with the closest failing candidates and
-    flagged ``fallback_filled``.
+    ``features`` holds the members' features as one [n, dim] matrix, n the
+    configured size; ``diagnostics[j]`` describes row j of the candidate
+    pool. ``fallback_filled`` flags a set in which fewer than n candidates
+    pass the threshold, so some members are closest failing candidates.
     """
 
     fallback_filled: bool
@@ -90,14 +90,14 @@ def _kl_to_challenge(logits: np.ndarray) -> np.ndarray:
 
 def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarray,
                         in_models, out_models, t_nb: float, n: int) -> NeighborhoodSet:
-    """Admit candidates (rows of ``candidates``) whose IN and OUT logit fits
-    are both KL-close.
+    """Keep the n candidates (rows of ``candidates``) whose IN and OUT logit
+    fits are KL-closest to the challenge point's.
 
-    A candidate passes when KL(candidate_IN || challenge_IN) <= t_nb and
-    KL(candidate_OUT || challenge_OUT) <= t_nb.  If more than n pass, the n
-    with smallest max(kl_in, kl_out) are kept; if fewer, the closest failing
-    candidates fill the remainder and the set is flagged.  Ties in
-    max(kl_in, kl_out) go to the lower candidate index.
+    The members are the n smallest max(kl_in, kl_out), ties going to the
+    lower row.  A candidate is admitted when KL(candidate_IN || challenge_IN)
+    <= t_nb and KL(candidate_OUT || challenge_OUT) <= t_nb, that is when its
+    max KL is at most t_nb, so the admitted candidates lead that order and
+    t_nb sets only the ``admitted`` and ``fallback_filled`` flags.
     """
     if len(candidates) == 0:
         raise ValueError("empty candidate pool")
@@ -111,18 +111,16 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
     kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models))
     passed = (kl_in <= t_nb) & (kl_out <= t_nb)
 
-    # Passing candidates by (max KL, index), then failing ones the same way.
+    # Candidates by (max KL, row): the passing ones lead, since a candidate
+    # passes exactly when its max KL is at most t_nb.
     order = np.lexsort((np.arange(len(candidates)), np.maximum(kl_in, kl_out)))
-    ranked = np.concatenate([order[passed[order]], order[~passed[order]]])
-    chosen = ranked[:n]
+    chosen = order[:n]
     selected = np.zeros(len(candidates), dtype=bool)
     selected[chosen] = True
 
-    diagnostics = [
-        CandidateDiagnostics(idx, *fields)
-        for idx, fields in enumerate(zip(kl_in.tolist(), kl_out.tolist(),
-                                         passed.tolist(), selected.tolist()))
-    ]
+    diagnostics = [CandidateDiagnostics(*fields)
+                   for fields in zip(kl_in.tolist(), kl_out.tolist(),
+                                     passed.tolist(), selected.tolist())]
     # The members are rows of one matrix, so scoring needs no restacking and
     # the set keeps no reference to the rest of the candidate pool.
     return NeighborhoodSet(
@@ -132,26 +130,20 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
     )
 
 
-def export_diagnostics_csv(path: str, per_point: list[NeighborhoodSet],
-                           candidate_pools: list[np.ndarray]) -> None:
+def export_diagnostics_csv(path: str, indices: np.ndarray,
+                           per_point: list[NeighborhoodSet]) -> None:
     """Per-candidate selection record for ablation plots.
 
-    ``per_point[p]`` is the selection of the point at position p and
-    ``candidate_pools[p]`` its candidates' features, one row per candidate;
-    a row's ``challenge_index`` is p. A candidate's hash is the first 16 hex
-    digits of the sha256 of its row as little-endian float64.
+    ``per_point[p]`` is the selection of the point whose pool index is
+    ``indices[p]``, the ``challenge_index`` of its rows as in ``scores.csv``;
+    a row's ``candidate`` is its row in the point's seeded candidate pool.
 
     Each point's rows are written as one string in ``csv.writer``'s default
     dialect: no field holds a comma, quote or line break, so none is quoted,
-    and each row ends in its "\\r\\n" terminator. Joining per point, not
-    per file, keeps the strings of only one pool alive at a time."""
+    and each row ends in its "\\r\\n" terminator."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("challenge_index,candidate_hash,kl_in,kl_out,admitted,selected\r\n")
-        for point, chosen in enumerate(per_point):
-            pool = np.asarray(candidate_pools[point], dtype="<f8")
-            data, width = memoryview(pool.tobytes()), pool.shape[1] * pool.itemsize
-            hashes = [hashlib.sha256(data[i:i + width]).hexdigest()[:16]
-                      for i in range(0, len(data), width)]
-            f.write("".join(f"{point},{hashes[d.index]},{d.kl_in!r},{d.kl_out!r},"
+        f.write("challenge_index,candidate,kl_in,kl_out,admitted,selected\r\n")
+        for index, chosen in zip(indices.tolist(), per_point, strict=True):
+            f.write("".join(f"{index},{j},{d.kl_in!r},{d.kl_out!r},"
                             f"{d.admitted:d},{d.selected:d}\r\n"
-                            for d in chosen.diagnostics))
+                            for j, d in enumerate(chosen.diagnostics)))

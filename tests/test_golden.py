@@ -20,7 +20,8 @@ layers and a ragged last batch; and one whose every step is a single batch
 shorter than ``batch_size``. Each model pins its ``save_model`` blob and its
 manifest. ``ABLATION`` pins the ``ablation.csv`` of a two-value ``t_nb``
 ablation of the gaussian game. After an intended output change,
-``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
+``PYTHONPATH=src python tests/test_golden.py`` prints each pin that moved, as
+``name file old -> new``, and the number of pins that did not.
 """
 
 import hashlib
@@ -84,42 +85,42 @@ GOLDEN = {
     "gaussian": {
         "scores.csv": "16d5a319cfd588753c1715c0354d9d8cff0ac69bb9bd7153c20536eb0ea50443",
         "metrics.csv": "91b69930d4cada2bca748947504838f97b98f764b5638f58631c0e622d2daeaa",
-        "neighborhood_diagnostics.csv": "ceb67ecbdceb6a53edc324c83c5dd98523ee0fc6b1993e1a94d7eb69de15eecc",
+        "neighborhood_diagnostics.csv": "dbe9047866a5aa4c233a22dddf40f7205b24fb49723c61acec50d549c917a389",
         "poison_plan.json": "5785400c54955466ada4bdbfa3d700838089b2ad4b294cae76345a0793d5c70b",
         "model_stats.csv": "c34ac32d2956f2747e6e43a9940352cfd9b0720a9bc28780345250be1c0c6050",
     },
     "binary": {
         "scores.csv": "12ff8c0c5dca0ffc12c01fb8dad84793ec048bb792123aa9648b5d73925e58e7",
         "metrics.csv": "8fb03a8044f2240dcdc47422ca4ded0467e34559ae0100a1a48c656877a6955e",
-        "neighborhood_diagnostics.csv": "a694b15462d8271b136cf4a5c2ac825482911e6baf6560126f56712c6cddc286",
+        "neighborhood_diagnostics.csv": "b4e32b761ad968d73686939d61f4f75d006bd54e2ccc1c666c00df79a1a4e25e",
         "poison_plan.json": "d376771a0619ea83744ee55bf7376ec493d9e5890a1b5b76a80da687623d0681",
         "model_stats.csv": "69c6532a8bcd066a837ec28cec14099821e41ee8a63cb07efee15bd34e7d887e",
     },
     "dp_workers2": {
         "scores.csv": "05f0af6d30bfffe8ecbc82d4f708a121c97a2e008daf4c50de50b9b23e680b53",
         "metrics.csv": "30c27fd1391ef095474cf4b8043e3592193d4f4e92f68b9606bee50c99de1ed7",
-        "neighborhood_diagnostics.csv": "2ffe44b7ca69b45902a921253e24f954aeac450977a2d91dd36ac7e4594503d5",
+        "neighborhood_diagnostics.csv": "80b56ea0096a64d44ace8044c770d95e22b3aed729bfa81ff4262970c2dc3c24",
         "poison_plan.json": "4fec053acd3ae3c515bfdfcc92d1b88fb5aba61d1fad7838f652ddce20efc3b5",
         "model_stats.csv": "f84c9259f3733be34becfc41c62420ffe9b59e14589f895aa8eab7852f82448a",
     },
     "strict": {
         "scores.csv": "f009e873705f7e6566cd6a9f9c30b60eda1d06c025cbd3d6cabb216389bf12c6",
         "metrics.csv": "ac1a066dceb789f0ac850408df6a898a20cf485128c267968357324de2e36199",
-        "neighborhood_diagnostics.csv": "e0abf2f8efae91e99e077d5f49636d3e26c37ca78de76c8b759560f8b6d8a3c9",
+        "neighborhood_diagnostics.csv": "c5cc855c024432c98a01e79f7ab6c9109c6f015a5d44be70d32d1c2ac54ba6c0",
         "poison_plan.json": "1833a6f322f04a3130dd7c524bb73722aaf25759cead5b472c356ef6bbb5a17c",
         "model_stats.csv": "49585c34c7560cdde57611fd2865e87e310d3c74af87b94bdb9d4f1a903eeffc",
     },
     "static_k2": {
         "scores.csv": "c1dd687decd2d2b830e5ab1307a07ff923a5a10e597216730b492a2b444ec1ab",
         "metrics.csv": "7e54d9950af3b2cd4e06eadb417c54de78b638133e51eec42c2dc8b6430ba79c",
-        "neighborhood_diagnostics.csv": "b6743552c2da60b248ad1d8d1fe7ccff2789c58ffd40d3a7a6bf065f18f78d61",
+        "neighborhood_diagnostics.csv": "cad53703a7388516659ea166f07ef468b5faaffdf0fead3880c57668993ee112",
         "poison_plan.json": "8320ac41c23341d6ed9f86993b75bc87a8048ca500ad6fd4ff8fe28f42a5cb28",
         "model_stats.csv": "6fafef6457d7e69c8607c3198d1deb370216221fb6c4c941dee82bf4cab5aff1",
     },
     "csv": {
         "scores.csv": "43266a220f0a4807d75625f14e70c03f87c4c4cb32a500911924ae2384978fb0",
         "metrics.csv": "50327ff94b507d7ac4dd4429a65816dcdaf709aede931711e4b77ee96be3b095",
-        "neighborhood_diagnostics.csv": "4589c89ab85838efd0e6f972ad82d6c6e70d66c53f0fc905e959ec00187fd6f9",
+        "neighborhood_diagnostics.csv": "14af20984c2745bb40078d31b2a78dcadfa223b5aaa7f38daa81db339677746f",
         "poison_plan.json": "eab0053bbcaedf206549b4092e3d20eaf35e0d2065e43306808007bfe83d5991",
         "model_stats.csv": "08409b3f362b48a3d149b5a831c75f38abc64ea84434d6731ecea6ebdb9016d0",
     },
@@ -221,16 +222,28 @@ def test_ablation_csv_matches_recorded_digest(tmp_path):
     assert ablation_digest(str(tmp_path)) == GOLDEN_ABLATION
 
 
+def print_moved(name: str, pinned: dict[str, str], got: dict[str, str]) -> int:
+    """Print each of ``name``'s pins that ``got`` moves, as ``name file old ->
+    new``; return how many did not move."""
+    moved = {file: new for file, new in got.items() if pinned.get(file) != new}
+    for file, new in moved.items():
+        print(f"{name} {file} {pinned.get(file)} -> {new}")
+    return len(got) - len(moved)
+
+
 if __name__ == "__main__":
     import logging
     import tempfile
 
     logging.getLogger("milab.metrics").setLevel(logging.ERROR)
+    unchanged = 0
     for config in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
-            print(config, run_digests(config, tmp))
+            unchanged += print_moved(config, GOLDEN[config], run_digests(config, tmp))
     for model in sorted(MODELS):
         with tempfile.TemporaryDirectory() as tmp:
-            print(model, model_digest(model, tmp))
+            unchanged += print_moved(model, GOLDEN_MODELS[model], model_digest(model, tmp))
     with tempfile.TemporaryDirectory() as tmp:
-        print("ablation", ablation_digest(tmp))
+        unchanged += print_moved("ablation", {"ablation.csv": GOLDEN_ABLATION},
+                                 {"ablation.csv": ablation_digest(tmp)})
+    print(f"{unchanged} pins unchanged")

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milab.attack import CHAMELEON, GAP
+from milab.attack import CHAMELEON, GAP, LabelOnlyModel
 from milab.harness import cache as hcache
 from milab.harness import cli
 from milab.harness import config as hc
@@ -64,8 +65,10 @@ class TestConfig:
             hc.config_from_dict({"num_target_models": 5})
         with pytest.raises(hc.ConfigError):
             hc.config_from_dict({"attacks": ["chameleon", "boundary"]})
-        with pytest.raises(hc.ConfigError):
-            hc.config_from_dict({"neighborhood": {"size": 128, "pool_size": 64}})
+        for section in ({"size": 128, "pool_size": 64}, {"size": -1}, {"size": 0, "pool_size": 0}):
+            with pytest.raises(hc.ConfigError, match="size >= 0, pool_size >= 1 and size <= "):
+                hc.config_from_dict({"neighborhood": section})
+        assert hc.config_from_dict({"neighborhood": {"size": 0}}).neighborhood.size == 0
 
     def test_dp_section_parsed(self):
         cfg = hc.config_from_dict({
@@ -175,13 +178,13 @@ class TestModelCache:
                 rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
         finally:
             logging.disable(logging.WARNING)
-        assert rerun.cost.cache_misses == 1
+        assert (rerun.cost.cache_misses, rerun.cost.cache_corrupt) == (1, 1)
+        assert json.loads((tmp_path / "b" / "cost.json").read_text())["cache_corrupt"] == 1
         assert blob.stem in caplog.text
         assert ((tmp_path / "a" / "scores.csv").read_bytes()
                 == (tmp_path / "b" / "scores.csv").read_bytes())
         third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
-        assert third.cost.cache_misses == 0
-
+        assert (third.cost.cache_misses, third.cost.cache_corrupt) == (0, 0)
 
     def test_same_size_damage_is_retrained(self, tmp_path, caplog):
         # Negating every float keeps each blob's size, so only the checksum
@@ -198,13 +201,14 @@ class TestModelCache:
                 rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
         finally:
             logging.disable(logging.WARNING)
-        assert first.cost.cache_hits == 0
+        assert (first.cost.cache_hits, first.cost.cache_corrupt) == (0, 0)
         assert (rerun.cost.cache_hits, rerun.cost.cache_misses) == (0, first.cost.cache_misses)
+        assert rerun.cost.cache_corrupt == len(blobs) == first.cost.cache_misses
         assert all(blob.stem in caplog.text for blob in blobs)
         assert ((tmp_path / "a" / "scores.csv").read_bytes()
                 == (tmp_path / "b" / "scores.csv").read_bytes())
         third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
-        assert third.cost.cache_misses == 0
+        assert (third.cost.cache_misses, third.cost.cache_corrupt) == (0, 0)
 
     def test_manifest_without_checksum_is_retrained(self, tmp_path):
         # The same holds for a manifest that lost its dims.
@@ -235,14 +239,29 @@ class TestPrivacyGame:
             assert report.n_in == report.n_out == per_attack // 2
 
     def test_artifacts_and_manifest(self, tmp_path):
+        cfg = tiny_config()
         out = tmp_path / "run"
-        hr.run_privacy_game(tiny_config(), str(out))
+        hr.run_privacy_game(cfg, str(out))
         for name in ("dataset.json", "dataset.bin", "challenges.json",
                      "poison_plan.json", "neighborhood_diagnostics.csv",
                      "model_stats.csv", "scores.csv", "metrics.csv",
                      "cost.json", "run_manifest.json", "config.json"):
             assert (out / name).exists(), name
         assert hr.verify_manifest(str(out)) == []
+        # The diagnostics name each point by its pool index, as scores.csv does,
+        # and list its whole seeded candidate pool, row by row.
+        with open(out / "scores.csv", encoding="utf-8", newline="") as f:
+            scored = {row["challenge_index"] for row in csv.DictReader(f)}
+        per_point: dict[str, list[dict]] = {}
+        with open(out / "neighborhood_diagnostics.csv", encoding="utf-8", newline="") as f:
+            for row in csv.DictReader(f):
+                per_point.setdefault(row["challenge_index"], []).append(row)
+        assert set(per_point) <= scored
+        assert len(per_point) == cfg.num_challenge_points
+        pool_size, size = cfg.neighborhood.pool_size, cfg.neighborhood.size
+        for index, rows in per_point.items():
+            assert [int(r["candidate"]) for r in rows] == list(range(pool_size)), index
+            assert sum(int(r["selected"]) for r in rows) == size, index
 
     def test_manifest_detects_tampering(self, tmp_path):
         out = tmp_path / "run"
@@ -364,6 +383,32 @@ class TestPrivacyGame:
         assert abs(result.reports["chameleon"].auc - 0.5) < 0.17
 
 
+class TestScoring:
+    def test_fixed_size_batches_and_empty_neighborhood(self, tmp_path, monkeypatch):
+        batches: list[int] = []
+        query = LabelOnlyModel.predict_label_batch
+
+        def recording(self, X):
+            batches.append(len(X))
+            return query(self, X)
+
+        monkeypatch.setattr(LabelOnlyModel, "predict_label_batch", recording)
+        cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=1, pool_size=2),
+                          num_challenge_points=5)
+        cache = str(tmp_path / "cache")
+        result = hr.run_privacy_game(cfg, str(tmp_path / "one"), cache_dir=cache)
+        # A batch holds at most pool_size + 1 = 3 rows: one point and its
+        # neighbor for chameleon, runs of 3 points for gap.
+        assert max(batches) <= cfg.neighborhood.pool_size + 1
+        assert batches == [2] * 5 * 4 + [3, 2] * 4
+        assert sum(batches) == result.cost.total_label_queries
+
+        # With no neighbors, chameleon scores the point alone, as gap does.
+        empty = replace(cfg, neighborhood=replace(cfg.neighborhood, size=0))
+        result = hr.run_privacy_game(empty, str(tmp_path / "zero"), cache_dir=cache)
+        assert np.array_equal(result.scores[CHAMELEON], result.scores[GAP])
+
+
 class TestBinaryModality:
     def test_end_to_end_on_binary_tabular_data(self, tmp_path):
         # Bit-flip neighbors and binary prototypes exercise the tabular path.
@@ -392,8 +437,9 @@ class TestAblation:
         rows = hr.run_ablation(cfg, "t_nb", [0.25, 0.75], str(tmp_path / "ab"))
         assert {r["value"] for r in rows} == {0.25, 0.75}
         assert (tmp_path / "ab" / "ablation.csv").exists()
-        # t_nb only affects neighborhood selection, so the second value adds
-        # no new models: 12 shadows (exhausted loop) + 4 targets, 2 files each.
+        # t_nb only sets the neighborhood's admitted flags, and no model
+        # depends on the neighborhood, so the second value adds no new models:
+        # 12 shadows (exhausted loop) + 4 targets, 2 files each.
         model_dir = os.path.join(str(tmp_path / "ab" / "cache"), "models")
         assert len(os.listdir(model_dir)) == (12 + 4) * 2
 

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import math
 
 import numpy as np
@@ -256,6 +255,25 @@ class TestSelectNeighborhood:
         assert [max(kls[i]) for i in picked] == sorted(max(kl) for kl in kls)[:3]
         assert [d.selected for d in result.diagnostics] == [True, True, False, True]
 
+    @given(offsets=st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+                            min_size=1, max_size=10),
+           t_nbs=st.tuples(st.floats(0, 20), st.floats(0, 20)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_t_nb_sets_only_the_flags(self, offsets, t_nbs, data):
+        # The members are the n KL-closest candidates whatever the threshold.
+        n = data.draw(st.integers(0, len(offsets)))
+        challenge, cands, mi, mo = build_selection_setup(*zip(*offsets))
+        a, b = (nb.select_neighborhood(challenge, cands, mi, mo, t_nb=t, n=n)
+                for t in t_nbs)
+        assert len(a.features) == n
+        assert np.array_equal(a.features, b.features)
+        assert ([(d.kl_in, d.kl_out, d.selected) for d in a.diagnostics]
+                == [(d.kl_in, d.kl_out, d.selected) for d in b.diagnostics])
+        for t, result in zip(t_nbs, (a, b)):
+            admitted = [d.admitted for d in result.diagnostics]
+            assert admitted == [max(d.kl_in, d.kl_out) <= t for d in result.diagnostics]
+            assert result.fallback_filled == (sum(admitted) < n)
+
     def test_empty_pool_rejected(self):
         challenge, _, mi, mo = build_selection_setup([0.0], [0.0])
         with pytest.raises(ValueError):
@@ -267,36 +285,33 @@ class TestExport:
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
         result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), [result], [cands])
+        nb.export_diagnostics_csv(str(path), np.array([17]), [result])
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "challenge_index,candidate_hash,kl_in,kl_out,admitted,selected"
+        assert lines[0] == "challenge_index,candidate,kl_in,kl_out,admitted,selected"
         assert len(lines) == 3
-        # Each row hashes its own candidate's float64 bytes.
-        assert [line.split(",")[1] for line in lines[1:]] == [
-            hashlib.sha256(row.astype("<f8").tobytes()).hexdigest()[:16] for row in cands]
+        # Each row names its point by pool index and its candidate by pool row.
+        assert [line.split(",")[:2] for line in lines[1:]] == [["17", "0"], ["17", "1"]]
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1", "0"]
 
     def test_bytes_match_csv_writer(self, tmp_path):
         # Reference: the same rows through csv.writer, extreme floats included.
-        gen = np.random.default_rng(4)
         kls = [0.0, -0.0, 5e-324, 1e300, math.inf, math.nan, 0.1, 1 / 3]
-        per_point, pools = [], []
-        for point in range(2):
-            pools.append(gen.normal(0, 1, (len(kls), 3)))
-            diags = [nb.CandidateDiagnostics(j, kls[j], kls[-1 - j], j % 2 == 0, j < 3)
+        indices = np.array([31, 4])
+        per_point = []
+        for _ in indices:
+            diags = [nb.CandidateDiagnostics(kls[j], kls[-1 - j], j % 2 == 0, j < 3)
                      for j in range(len(kls))]
-            per_point.append(nb.NeighborhoodSet(False, diags, pools[point][:3]))
+            per_point.append(nb.NeighborhoodSet(False, diags, np.zeros((3, 2))))
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), per_point, pools)
+        nb.export_diagnostics_csv(str(path), indices, per_point)
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["challenge_index", "candidate_hash", "kl_in", "kl_out",
+            writer.writerow(["challenge_index", "candidate", "kl_in", "kl_out",
                              "admitted", "selected"])
-            for point, chosen in enumerate(per_point):
-                for d in chosen.diagnostics:
-                    row = pools[point][d.index].astype("<f8").tobytes()
-                    writer.writerow([point, hashlib.sha256(row).hexdigest()[:16],
-                                     repr(d.kl_in), repr(d.kl_out),
+            for index, chosen in zip(indices.tolist(), per_point):
+                for j, d in enumerate(chosen.diagnostics):
+                    writer.writerow([index, j, repr(d.kl_in), repr(d.kl_out),
                                      int(d.admitted), int(d.selected)])
         assert path.read_bytes() == ref.read_bytes()
