@@ -50,7 +50,10 @@ def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]]
         expected.extend([y] * rows)
         bounds.append(bounds[-1] + rows)
     wrong = target.predict_label_batch(np.concatenate(queries)) != np.asarray(expected)
-    return [float(np.mean(wrong[a:b])) for a, b in zip(bounds, bounds[1:])]
+    # Each point's count is an exact float sum, as np.mean's is.
+    bounds = np.asarray(bounds)
+    return (np.add.reduceat(wrong, bounds[:-1], dtype=np.float64)
+            / np.diff(bounds)).tolist()
 
 
 def chameleon_score(target, challenges: Sequence[tuple[np.ndarray, int]],

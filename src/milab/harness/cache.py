@@ -1,9 +1,12 @@
-"""Content-addressed artifact cache for trained models.
+"""Content-addressed artifact cache for trained models and neighbourhood
+KL fits.
 
-Cache keys are sha256 digests of a canonical-JSON description of everything
-the artifact depends on (training-set content hash, training config,
-architecture, seed), so ablations re-train only what actually changed and a
-re-run with an intact cache reproduces its outputs byte for byte.
+Cache keys are sha256 digests of everything the artifact depends on: for a
+model, a canonical-JSON description of its training-set content hash,
+training config, architecture and seed; for a point's KL fit, the point, its
+candidate pool and the parameters of its IN and OUT shadow models.  So
+ablations recompute only what actually changed, and a re-run with an intact
+cache reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +23,9 @@ from .. import nncore
 from ..datagen import Dataset
 
 logger = logging.getLogger(__name__)
+
+# Manifest format of a KL entry, and the version tag of its key.
+KL_FORMAT = "milab-kl-v1"
 
 
 def canonical_json(obj) -> str:
@@ -59,19 +66,58 @@ def train_config_dict(cfg: nncore.TrainConfig) -> dict:
     return doc
 
 
-class ModelCache:
-    """Stores trained models under their dependency digest.
+def params_digest(model: nncore.ModelParams) -> str:
+    """sha256 of a model's layer widths and float32 parameters."""
+    h = hashlib.sha256(canonical_json(model.dims).encode("utf-8"))
+    h.update(model.flat.astype("<f4", copy=False).tobytes())
+    return h.hexdigest()
 
-    ``hits`` / ``misses`` count lookups during this process's lifetime;
-    ``corrupt`` counts the misses on entries that existed but failed to load.
-    """
+
+def kl_key(x: np.ndarray, y: int, candidates: np.ndarray,
+           in_digests: list[str], out_digests: list[str]) -> str:
+    """Key of the KL fit of the point (x, y) against its candidate pool,
+    from the ``params_digest`` of its IN models, then of its OUT models, in
+    the order the fit sums over them."""
+    h = hashlib.sha256(canonical_json({
+        "format": KL_FORMAT, "label": int(y), "pool_shape": list(candidates.shape),
+        "in": in_digests, "out": out_digests}).encode("utf-8"))
+    h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(candidates, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _load_kl(stem: str, pool_size: int) -> np.ndarray:
+    """Raises ValueError, as ``reshape`` does for a blob of the wrong size,
+    when the manifest names another shape."""
+    blob, manifest = nncore.load_entry(stem, KL_FORMAT)
+    if manifest.get("shape") != [2, pool_size]:
+        raise ValueError(f"{stem}.json does not name a [2, {pool_size}] array")
+    return np.frombuffer(blob, dtype="<f8").reshape(2, pool_size)
+
+
+@dataclass
+class Tally:
+    """Lookups of one kind of entry; ``corrupt`` counts the misses on
+    entries that existed but failed to load."""
+
+    hits: int = 0
+    misses: int = 0
+    corrupt: int = 0
+
+
+class ModelCache:
+    """Stores trained models under ``models/`` and KL fits under
+    ``neighborhoods/``, each under its dependency digest.
+
+    ``model_counts`` and ``kl_counts`` tally the lookups of each kind during
+    this process's lifetime."""
 
     def __init__(self, root: str):
         self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        os.makedirs(os.path.join(root, "models"), exist_ok=True)
+        self.model_counts = Tally()
+        self.kl_counts = Tally()
+        for kind in ("models", "neighborhoods"):
+            os.makedirs(os.path.join(root, kind), exist_ok=True)
 
     def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
         return digest({
@@ -80,28 +126,41 @@ class ModelCache:
             "hidden": list(hidden),
         })
 
-    def _stem(self, key: str) -> str:
-        return os.path.join(self.root, "models", key)
-
-    def get(self, key: str) -> nncore.ModelParams | None:
-        """The cached model, or None (a miss) when it is absent or damaged.
-
-        Cached parameters equal freshly trained ones bit for bit; an entry
-        that no longer loads counts as a miss, so the caller retrains and
+    def _lookup(self, kind: str, key: str, tally: Tally, load):
+        """``load(stem)`` of the entry, or None (a miss) when it is absent or
+        damaged; a damaged entry is logged, so the caller recomputes and
         overwrites it."""
-        stem = self._stem(key)
-        if nncore.model_exists(stem):
+        stem = os.path.join(self.root, kind, key)
+        if nncore.entry_exists(stem):
             try:
-                model = nncore.load_model(stem)[0]
+                value = load(stem)
             except ValueError as exc:
-                logger.warning("damaged cache entry %s, retraining: %s", stem, exc)
-                self.corrupt += 1
+                logger.warning("damaged cache entry %s, recomputing: %s", stem, exc)
+                tally.corrupt += 1
             else:
-                self.hits += 1
-                return model
-        self.misses += 1
+                tally.hits += 1
+                return value
+        tally.misses += 1
         return None
 
+    def get(self, key: str) -> nncore.ModelParams | None:
+        """The cached model, or None; cached parameters equal freshly
+        trained ones bit for bit."""
+        return self._lookup("models", key, self.model_counts,
+                            lambda stem: nncore.load_model(stem)[0])
+
     def put(self, key: str, model: nncore.ModelParams, cfg: nncore.TrainConfig) -> None:
-        nncore.save_model(model, self._stem(key), seed=cfg.seed,
+        nncore.save_model(model, os.path.join(self.root, "models", key), seed=cfg.seed,
                           config_hash=digest(train_config_dict(cfg)))
+
+    def get_kl(self, key: str, pool_size: int) -> np.ndarray | None:
+        """The cached, read-only [2, pool_size] (kl_in, kl_out) fit, or None;
+        it equals a fresh fit bit for bit."""
+        return self._lookup("neighborhoods", key, self.kl_counts,
+                            lambda stem: _load_kl(stem, pool_size))
+
+    def put_kl(self, key: str, kl: np.ndarray) -> None:
+        """Store a fit as little-endian float64, kl_in row first."""
+        nncore.save_entry(os.path.join(self.root, "neighborhoods", key),
+                          np.ascontiguousarray(kl, dtype="<f8").tobytes(),
+                          {"format": KL_FORMAT, "shape": list(kl.shape), "dtype": "<f8"})

@@ -23,7 +23,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--cache", default=None,
-                        help="model cache directory (default: <out>/cache)")
+                        help="model and KL-fit cache directory (default: <out>/cache)")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for model training")

@@ -27,14 +27,15 @@ from ..attack import (CHAMELEON, LabelOnlyModel, chameleon_score, gap_score,
 from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        gen_neighbors, load_csv_dataset, make_split_plan,
                        save_dataset)
-from ..neighborhood import (NeighborhoodSet, export_diagnostics_csv,
+from ..neighborhood import (NeighborhoodSet, export_diagnostics_csv, fit_kl,
                             select_neighborhood)
 from ..poisoner import (ChallengeSet, PoisonConfig, PoisonPlan,
                         adapt_poison_single, adapt_poison_multi,
                         build_poisoned_training_set, make_challenge_set,
                         save_poison_plan)
 from ..rng import derive_seed, make_rng
-from .cache import ModelCache, canonical_json, digest, file_digest
+from .cache import (ModelCache, canonical_json, digest, file_digest, kl_key,
+                    params_digest)
 from .config import ConfigError, ExperimentConfig
 
 # Seed-path tags, one per random stream in the pipeline.
@@ -91,6 +92,9 @@ class CostReport:
     cache_hits: int
     cache_misses: int
     cache_corrupt: int
+    kl_cache_hits: int
+    kl_cache_misses: int
+    kl_cache_corrupt: int
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -265,21 +269,34 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
 
 
 def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
-                         in_models, out_models, path: str) -> list[NeighborhoodSet]:
+                         in_models, out_models, cache: ModelCache,
+                         path: str) -> list[NeighborhoodSet]:
     """Candidate pools plus KL selection, one per point position, from that
-    point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``."""
+    point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``.
+
+    A point's KL fit comes from the cache when its point, pool and models
+    match a stored one; otherwise it is fitted and stored."""
     modality = cfg.dataset.modality
     noise = cfg.neighborhood.resolved_noise_scale(modality)
+    # Each distinct model is digested once; every one stays alive (and so
+    # keeps its id) through the stage.
+    distinct = {id(m): m for models in (*in_models, *out_models) for m in models}
+    digests = {ident: params_digest(m) for ident, m in distinct.items()}
     selected = []
     for pos in range(len(challenges)):
-        x = challenges.features[pos]
+        x, y = challenges.features[pos], int(challenges.labels[pos])
         cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
                               derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
         # Round to float32 like the pool's features, in one cast per pool.
         cands = cands.astype(np.float32).astype(np.float64)
-        selected.append(select_neighborhood(
-            (x, int(challenges.labels[pos])), cands, in_models[pos], out_models[pos],
-            t_nb=cfg.neighborhood.t_nb, n=cfg.neighborhood.size))
+        key = kl_key(x, y, cands, [digests[id(m)] for m in in_models[pos]],
+                     [digests[id(m)] for m in out_models[pos]])
+        kl = cache.get_kl(key, len(cands))
+        if kl is None:
+            kl = fit_kl((x, y), cands, in_models[pos], out_models[pos])
+            cache.put_kl(key, kl)
+        selected.append(select_neighborhood(kl, cands, t_nb=cfg.neighborhood.t_nb,
+                                            n=cfg.neighborhood.size))
     export_diagnostics_csv(path, challenges.indices, selected)
     return selected
 
@@ -416,7 +433,7 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs)
     with _stage("neighborhood", stage_seconds):
         neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,
-                                             artifacts["neighborhoods"])
+                                             cache, artifacts["neighborhoods"])
     with _stage("targets", stage_seconds):
         target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
                                                            plan, trainer)
@@ -436,9 +453,12 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
                                    for a in cfg.attacks},
             total_label_queries=total_queries,
             stage_seconds=stage_seconds,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_corrupt=cache.corrupt)
+            cache_hits=cache.model_counts.hits,
+            cache_misses=cache.model_counts.misses,
+            cache_corrupt=cache.model_counts.corrupt,
+            kl_cache_hits=cache.kl_counts.hits,
+            kl_cache_misses=cache.kl_counts.misses,
+            kl_cache_corrupt=cache.kl_counts.corrupt)
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
             json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
         _write_manifest(cfg, out_dir, artifacts, stage_seconds)

@@ -1,14 +1,17 @@
 """Membership neighborhood: Gaussian logit fits over shadow models and
-KL-divergence candidate selection.
+KL-divergence candidate selection, in two steps.
 
-For a point (x, y), the logit of the model confidence on label y is fitted
-with a Gaussian separately over IN shadow models (trained with the point) and
-OUT models (trained without it), and each candidate neighbor's fits are
-compared with the point's by KL divergence, the candidate distribution as the
-first argument.  The neighborhood is the ``n`` candidates of the pool with the
-smallest max(kl_in, kl_out), ties going to the lower row; the KL threshold
-only flags which candidates are admitted.  The shadow models used here carry
-no poison.
+``fit_kl`` is the costly step.  For a point (x, y), the logit of the model
+confidence on label y is fitted with a Gaussian separately over IN shadow
+models (trained with the point) and OUT models (trained without it), and each
+candidate neighbor's fits are compared with the point's by KL divergence, the
+candidate distribution as the first argument.  The result is a pure function
+of the point, its candidate pool and the shadow models, which carry no
+poison; no threshold or size enters it, so the harness caches it.
+
+``select_neighborhood`` is the cheap step: the neighborhood is the ``n``
+candidates of the pool with the smallest max(kl_in, kl_out), ties going to
+the lower row, and the KL threshold only flags which candidates are admitted.
 """
 
 from __future__ import annotations
@@ -88,10 +91,27 @@ def _kl_to_challenge(logits: np.ndarray) -> np.ndarray:
     return kl_gaussian((mu[1:], var[1:]), (float(mu[0]), float(var[0])))
 
 
-def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarray,
-                        in_models, out_models, t_nb: float, n: int) -> NeighborhoodSet:
-    """Keep the n candidates (rows of ``candidates``) whose IN and OUT logit
-    fits are KL-closest to the challenge point's.
+def fit_kl(challenge: tuple[np.ndarray, int], candidates: np.ndarray,
+           in_models, out_models) -> np.ndarray:
+    """The [2, len(candidates)] float64 divergences of the candidates (rows
+    of ``candidates``) from the challenge point: row 0 holds each
+    KL(candidate_IN || challenge_IN), row 1 each KL(candidate_OUT ||
+    challenge_OUT)."""
+    if len(candidates) == 0:
+        raise ValueError("empty candidate pool")
+    if len(in_models) < 2 or len(out_models) < 2:
+        raise ValueError("need at least 2 models on each side")
+    x, y = challenge
+    # One batched pass per model over [challenge, candidates...].
+    points = np.vstack([np.asarray(x, dtype=np.float64)[None, :], candidates])
+    return np.stack([_kl_to_challenge(_logit_matrix(points, y, in_models)),
+                     _kl_to_challenge(_logit_matrix(points, y, out_models))])
+
+
+def select_neighborhood(kl: np.ndarray, candidates: np.ndarray, t_nb: float,
+                        n: int) -> NeighborhoodSet:
+    """Keep the n candidates (rows of ``candidates``) whose fits are
+    KL-closest to the challenge point's, given their ``fit_kl`` divergences.
 
     The members are the n smallest max(kl_in, kl_out), ties going to the
     lower row.  A candidate is admitted when KL(candidate_IN || challenge_IN)
@@ -99,16 +119,7 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
     max KL is at most t_nb, so the admitted candidates lead that order and
     t_nb sets only the ``admitted`` and ``fallback_filled`` flags.
     """
-    if len(candidates) == 0:
-        raise ValueError("empty candidate pool")
-    if len(in_models) < 2 or len(out_models) < 2:
-        raise ValueError("need at least 2 models on each side")
-    x, y = challenge
-
-    # One batched pass per model over [challenge, candidates...].
-    points = np.vstack([np.asarray(x, dtype=np.float64)[None, :], candidates])
-    kl_in = _kl_to_challenge(_logit_matrix(points, y, in_models))
-    kl_out = _kl_to_challenge(_logit_matrix(points, y, out_models))
+    kl_in, kl_out = kl
     passed = (kl_in <= t_nb) & (kl_out <= t_nb)
 
     # Candidates by (max KL, row): the passing ones lead, since a candidate
@@ -126,7 +137,7 @@ def select_neighborhood(challenge: tuple[np.ndarray, int], candidates: np.ndarra
     return NeighborhoodSet(
         fallback_filled=len(chosen) > int(passed.sum()),
         diagnostics=diagnostics,
-        features=points[1:][chosen],
+        features=candidates[chosen],
     )
 
 
@@ -144,6 +155,6 @@ def export_diagnostics_csv(path: str, indices: np.ndarray,
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("challenge_index,candidate,kl_in,kl_out,admitted,selected\r\n")
         for index, chosen in zip(indices.tolist(), per_point, strict=True):
-            f.write("".join(f"{index},{j},{d.kl_in!r},{d.kl_out!r},"
-                            f"{d.admitted:d},{d.selected:d}\r\n"
-                            for j, d in enumerate(chosen.diagnostics)))
+            f.write("".join(["%d,%d,%r,%r,%d,%d\r\n"
+                             % (index, j, d.kl_in, d.kl_out, d.admitted, d.selected)
+                             for j, d in enumerate(chosen.diagnostics)]))

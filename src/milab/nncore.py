@@ -353,6 +353,39 @@ def _replace_file(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def save_entry(stem: str, blob: bytes, manifest: dict) -> None:
+    """Write ``blob`` to ``stem.bin`` and then ``manifest``, plus the blob's
+    ``num_bytes`` and ``sha256``, to ``stem.json``; ``load_entry`` reads
+    them back."""
+    manifest = {**manifest, "num_bytes": len(blob),
+                "sha256": hashlib.sha256(blob).hexdigest()}
+    # Blob first: a manifest never names a blob that is not in place yet.
+    _replace_file(stem + ".bin", blob)
+    _replace_file(stem + ".json",
+                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+
+
+def load_entry(stem: str, fmt: str) -> tuple[bytes, dict]:
+    """The blob and manifest that ``save_entry`` wrote under ``stem``.
+
+    Raises ValueError when the manifest is not JSON, not a JSON object or
+    not of format ``fmt``, or when the blob does not match the manifest's
+    sha256 (a manifest without one never matches)."""
+    with open(stem + ".json", "r", encoding="utf-8") as f:
+        manifest = json.load(f)
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise ValueError(f"{stem}.json is not a {fmt} manifest")
+    with open(stem + ".bin", "rb") as f:
+        blob = f.read()
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
+    return blob, manifest
+
+
+def entry_exists(stem: str) -> bool:
+    return os.path.exists(stem + ".json") and os.path.exists(stem + ".bin")
+
+
 def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
                config_hash: str = "") -> None:
     """Write ``stem.bin`` (parameters) and then ``stem.json`` (manifest).
@@ -362,43 +395,24 @@ def save_model(model: ModelParams, stem: str, *, seed: int | None = None,
     records the binary's sha256, which ``load_model`` checks.  Save/load
     round-trips are bit-exact because memory holds the same float32 vector.
     """
-    blob = model.flat.astype("<f4", copy=False).tobytes()
-    manifest = {
+    save_entry(stem, model.flat.astype("<f4", copy=False).tobytes(), {
         "format": MODEL_FORMAT,
         "dims": model.dims,
         "dtype": "<f4",
         "layout": "per-layer weights row-major, then bias",
         "seed": seed,
         "config_hash": config_hash,
-        "num_bytes": len(blob),
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    # Blob first: a manifest never names a blob that is not in place yet.
-    _replace_file(stem + ".bin", blob)
-    _replace_file(stem + ".json",
-                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+    })
 
 
 def load_model(stem: str) -> tuple[ModelParams, dict]:
     """The model saved under ``stem`` and its manifest.
 
-    Raises ValueError when the manifest is not a model manifest, has no list
-    of int dims, or the binary does not match the manifest's sha256 (a
-    manifest without one never matches) or its dims."""
-    with open(stem + ".json", "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unexpected model format in {stem}.json")
+    Raises ValueError when ``load_entry`` does, or when the manifest has no
+    list of int dims or the binary does not fit them."""
+    blob, manifest = load_entry(stem, MODEL_FORMAT)
     dims = manifest.get("dims")
     if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
         raise ValueError(f"{stem}.json has no list of int dims")
-    with open(stem + ".bin", "rb") as f:
-        blob = f.read()
-    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
-        raise ValueError(f"{stem}.bin does not match the sha256 in its manifest")
     raw = np.frombuffer(blob, dtype="<f4").copy()  # writable, like trained parameters
     return ModelParams(raw, dims), manifest
-
-
-def model_exists(stem: str) -> bool:
-    return os.path.exists(stem + ".json") and os.path.exists(stem + ".bin")

@@ -169,16 +169,15 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
         models_trained += len(models)
         if iteration == 0:
             shadow_models = models
-        for i in range(n_c):
-            if frozen[i]:
-                continue
-            assert counts[i] == iteration, "unfrozen counters advance in lockstep"
-            x, y = challenges.features[i], int(challenges.labels[i])
-            mu = float(np.mean([models[r].predict_proba(x)[y] for r in out_rows[i]]))
-            if mu <= cfg.t_p:
-                frozen[i] = True
-            else:
-                counts[i] += 1
+        live = np.flatnonzero(~frozen)
+        assert (counts[live] == iteration).all(), "unfrozen counters advance in lockstep"
+        # [unfrozen point, OUT model] confidences on the true labels; each
+        # row's mean sums in the order np.mean of that row alone does.
+        conf = np.array([[models[r].predict_proba(challenges.features[i])[challenges.labels[i]]
+                          for r in out_rows[i]] for i in live.tolist()])
+        reached = conf.mean(axis=1) <= cfg.t_p
+        frozen[live[reached]] = True
+        counts[live[~reached]] += 1
         if frozen.all():
             break
 

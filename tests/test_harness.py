@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milab import nncore
 from milab.attack import CHAMELEON, GAP, LabelOnlyModel
 from milab.harness import cache as hcache
 from milab.harness import cli
@@ -136,7 +138,7 @@ class TestModelCache:
                                  (8,), cache)
         first = trainer.many([(ds, 7)])[0]
         again, _ = trainer.many([(ds, 7), (ds, 8)])
-        assert cache.hits == 1 and cache.misses == 2
+        assert (cache.model_counts.hits, cache.model_counts.misses) == (1, 2)
         assert trainer.keys[0] == trainer.keys[1] != trainer.keys[2]
         assert first.dims == again.dims and np.array_equal(first.flat, again.flat)
 
@@ -224,6 +226,118 @@ class TestModelCache:
             assert rerun.cost.cache_misses == 1, key
             assert key in json.loads(manifest.read_text())
         assert not list((cache / "models").glob("*.tmp"))
+
+    def test_non_object_manifest_is_retrained(self, tmp_path):
+        # Valid JSON that is not an object: a list, a string, a number.
+        cfg = tiny_config(num_challenge_points=2)
+        cache = tmp_path / "cache"
+        first = hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        manifest = sorted((cache / "models").glob("*.json"))[0]
+        manifest.write_text("[]")
+        with pytest.raises(ValueError, match="not a milab-model-v1 manifest"):
+            nncore.load_model(str(manifest.with_suffix("")))
+        for i, text in enumerate(("[]", '"x"', "7")):
+            manifest.write_text(text)
+            rerun = hr.run_privacy_game(cfg, str(tmp_path / f"r{i}"), cache_dir=str(cache))
+            assert (rerun.cost.cache_misses, rerun.cost.cache_corrupt) == (1, 1), text
+            assert ((tmp_path / "a" / "scores.csv").read_bytes()
+                    == (tmp_path / f"r{i}" / "scores.csv").read_bytes()), text
+        assert first.cost.cache_corrupt == 0
+
+
+def kl_counts(out_dir) -> tuple[int, int, int]:
+    cost = json.loads((out_dir / "cost.json").read_text())
+    return cost["kl_cache_hits"], cost["kl_cache_misses"], cost["kl_cache_corrupt"]
+
+
+class TestKlCache:
+    def test_warm_rerun_hits_every_point(self, tmp_path):
+        cfg = tiny_config()
+        cache = str(tmp_path / "cache")
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
+        hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
+        points = cfg.num_challenge_points
+        assert kl_counts(tmp_path / "a") == (0, points, 0)
+        assert kl_counts(tmp_path / "b") == (points, 0, 0)
+        assert len(list((tmp_path / "cache" / "neighborhoods").glob("*.bin"))) == points
+        for name in CONTRACT_FILES:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_damaged_entry_is_refitted(self, tmp_path, caplog):
+        cfg = tiny_config()
+        cache = tmp_path / "cache"
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        reference = (tmp_path / "a" / "neighborhood_diagnostics.csv").read_bytes()
+        blob = sorted((cache / "neighborhoods").glob("*.bin"))[0]
+        manifest = blob.with_suffix(".json")
+        good_blob, good_manifest = blob.read_bytes(), manifest.read_text()
+        shape = json.loads(good_manifest)["shape"]
+        damages = {
+            "truncated blob": lambda: blob.write_bytes(good_blob[:100]),
+            # Negating every float keeps the size; only the checksum can tell.
+            "same-size blob": lambda: (-np.frombuffer(good_blob, "<f8")).tofile(blob),
+            "non-object manifest": lambda: manifest.write_text("[]"),
+            "unreadable manifest": lambda: manifest.write_text("{"),
+            "wrong shape": lambda: manifest.write_text(json.dumps(
+                {**json.loads(good_manifest), "shape": [shape[1], 2]})),
+            # A blob one row short whose manifest checksum matches it.
+            "short blob": lambda: (blob.write_bytes(good_blob[:-16]), manifest.write_text(
+                json.dumps({**json.loads(good_manifest),
+                            "sha256": hashlib.sha256(good_blob[:-16]).hexdigest()}))),
+        }
+        for name, damage in damages.items():
+            damage()
+            out = tmp_path / name.replace(" ", "_")
+            logging.disable(logging.NOTSET)
+            try:
+                with caplog.at_level(logging.WARNING, logger="milab.harness.cache"):
+                    hr.run_privacy_game(cfg, str(out), cache_dir=str(cache))
+            finally:
+                logging.disable(logging.WARNING)
+            assert kl_counts(out) == (cfg.num_challenge_points - 1, 1, 1), name
+            assert blob.stem in caplog.text, name
+            caplog.clear()
+            assert (out / "neighborhood_diagnostics.csv").read_bytes() == reference, name
+            # The refit overwrote the entry with the original bytes.
+            assert (blob.read_bytes(), manifest.read_text()) == (good_blob, good_manifest), name
+        assert not list((cache / "neighborhoods").glob("*.tmp"))
+
+    def test_size_ablation_refits_nothing(self, tmp_path):
+        # Neither the pool nor the shadow models depend on the size.
+        cfg = tiny_config()
+        hr.run_ablation(cfg, "neighborhood_size", [4, 8], str(tmp_path / "ab"))
+        points = cfg.num_challenge_points
+        assert kl_counts(tmp_path / "ab" / "neighborhood_size_4") == (0, points, 0)
+        assert kl_counts(tmp_path / "ab" / "neighborhood_size_8") == (points, 0, 0)
+
+    def test_key_sensitive_to_model_order_and_pool(self, tmp_path):
+        gen = np.random.default_rng(0)
+        x, pool = gen.normal(size=3), gen.normal(size=(5, 3))
+        in_digests, out_digests = ["a" * 64, "b" * 64], ["c" * 64, "d" * 64]
+        base = hcache.kl_key(x, 1, pool, in_digests, out_digests)
+        moved = pool.copy()
+        moved[2, 0] = np.nextafter(moved[2, 0], np.inf)
+        others = [hcache.kl_key(x, 1, pool, out_digests, in_digests),
+                  hcache.kl_key(x, 1, pool, in_digests[::-1], out_digests),
+                  hcache.kl_key(x, 1, moved, in_digests, out_digests),
+                  hcache.kl_key(x, 2, pool, in_digests, out_digests)]
+        assert len({base, *others}) == 5
+        cache = hcache.ModelCache(str(tmp_path))
+        kl = gen.uniform(size=(2, 5))
+        cache.put_kl(base, kl)
+        assert all(cache.get_kl(key, 5) is None for key in others)
+        assert cache.get_kl(base, 5).tobytes() == kl.tobytes()
+        assert (cache.kl_counts.hits, cache.kl_counts.misses) == (1, len(others))
+
+    def test_params_digest_reads_every_parameter(self):
+        model = nncore.init_params(3, (4,), 2, seed=0)
+        flat = model.flat.copy()
+        flat[-1] = np.nextafter(flat[-1], np.float32(np.inf))
+        changed = nncore.ModelParams(flat, model.dims)
+        assert hcache.params_digest(model) != hcache.params_digest(changed)
+        assert hcache.params_digest(model) == hcache.params_digest(
+            nncore.ModelParams(model.flat.copy(), list(model.dims)))
 
 
 class TestPrivacyGame:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from milab import neighborhood as nb
+from milab.harness.cache import ModelCache
 from milab.nncore import LOGIT_EPS, logit
 from stubs import FixedProbaModel, proba_key
 
@@ -23,8 +24,8 @@ def lookup_models(confidence_lists, x, y, num_classes=4):
 
 
 def fit(x, y, models):
-    """The Gaussian logit fit select_neighborhood makes of one point on one
-    side: ``_moments`` over the ``_logit_matrix`` row of that point."""
+    """The Gaussian logit fit fit_kl makes of one point on one side:
+    ``_moments`` over the ``_logit_matrix`` row of that point."""
     mu, var = nb._moments(nb._logit_matrix(np.atleast_2d(x), y, models))
     return float(mu[0]), float(var[0])
 
@@ -58,7 +59,7 @@ class TestFitLogitStats:
     def test_too_few_models_rejected(self):
         challenge, cands, mi, mo = build_selection_setup([0.0], [0.0])
         with pytest.raises(ValueError, match="at least 2 models"):
-            nb.select_neighborhood(challenge, cands, mi[:1], mo, t_nb=0.75, n=1)
+            nb.fit_kl(challenge, cands, mi[:1], mo)
 
 
 class TestKlGaussian:
@@ -188,10 +189,16 @@ def build_selection_setup(offsets_in, offsets_out, num_models=4):
     return (x, y), candidates, in_models, out_models
 
 
+def select(challenge, cands, in_models, out_models, t_nb, n):
+    """Fit, then pick: the two steps of the neighborhood stage."""
+    return nb.select_neighborhood(nb.fit_kl(challenge, cands, in_models, out_models),
+                                  cands, t_nb=t_nb, n=n)
+
+
 class TestSelectNeighborhood:
     def test_zero_divergence_candidate_admitted(self):
         challenge, cands, mi, mo = build_selection_setup([0.0, 3.0], [0.0, 3.0])
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
+        result = select(challenge, cands, mi, mo, t_nb=0.75, n=1)
         assert not result.fallback_filled
         assert np.array_equal(result.features[0], cands[0])
         assert result.diagnostics[0].selected
@@ -200,7 +207,7 @@ class TestSelectNeighborhood:
     def test_conjunction_requires_both_sides(self):
         # Candidate close on OUT models but far on IN models must fail.
         challenge, cands, mi, mo = build_selection_setup([2.0], [0.0])
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
+        result = select(challenge, cands, mi, mo, t_nb=0.75, n=1)
         diag = result.diagnostics[0]
         assert diag.kl_out <= 0.75 < diag.kl_in
         assert not diag.admitted
@@ -209,14 +216,14 @@ class TestSelectNeighborhood:
     def test_keeps_n_smallest_when_many_pass(self):
         offsets = [0.0, 0.1, 0.2, 0.3]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=10.0, n=2)
+        result = select(challenge, cands, mi, mo, t_nb=10.0, n=2)
         picked = {tuple(row) for row in result.features}
         assert picked == {tuple(cands[0]), tuple(cands[1])}
         assert not result.fallback_filled
 
     def test_fallback_fill_flagged_and_ordered(self):
         challenge, cands, mi, mo = build_selection_setup([0.0, 5.0, 3.0], [0.0, 5.0, 3.0])
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.05, n=2)
+        result = select(challenge, cands, mi, mo, t_nb=0.05, n=2)
         assert result.fallback_filled
         assert len(result.features) == 2
         # Passing candidate first, then the closest failing one.
@@ -228,8 +235,7 @@ class TestSelectNeighborhood:
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
         previous = -1
         for t_nb in (0.05, 0.25, 0.75, 2.0, 8.0):
-            result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=t_nb,
-                                            n=len(cands))
+            result = select(challenge, cands, mi, mo, t_nb=t_nb, n=len(cands))
             passing = sum(d.admitted for d in result.diagnostics)
             assert passing >= previous
             previous = passing
@@ -237,9 +243,9 @@ class TestSelectNeighborhood:
     def test_permutation_invariant_selection(self):
         offsets = [0.0, 0.4, 0.9, 1.5, 2.5]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
-        base = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=1.0, n=3)
+        base = select(challenge, cands, mi, mo, t_nb=1.0, n=3)
         perm = cands[[3, 0, 4, 2, 1]]
-        shuffled = nb.select_neighborhood(challenge, perm, mi, mo, t_nb=1.0, n=3)
+        shuffled = select(challenge, perm, mi, mo, t_nb=1.0, n=3)
         assert ({tuple(row) for row in base.features}
                 == {tuple(row) for row in shuffled.features})
 
@@ -247,7 +253,7 @@ class TestSelectNeighborhood:
         # Candidates 1 and 3 tie on both divergences; 0 and 2 tie further out.
         offsets = [0.6, 0.2, 0.6, 0.2]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets)
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=10.0, n=3)
+        result = select(challenge, cands, mi, mo, t_nb=10.0, n=3)
         kls = [(d.kl_in, d.kl_out) for d in result.diagnostics]
         assert kls[1] == kls[3] and kls[0] == kls[2] and kls[1] < kls[0]
         picked = result.features[:, 0].astype(int).tolist()
@@ -263,7 +269,7 @@ class TestSelectNeighborhood:
         # The members are the n KL-closest candidates whatever the threshold.
         n = data.draw(st.integers(0, len(offsets)))
         challenge, cands, mi, mo = build_selection_setup(*zip(*offsets))
-        a, b = (nb.select_neighborhood(challenge, cands, mi, mo, t_nb=t, n=n)
+        a, b = (select(challenge, cands, mi, mo, t_nb=t, n=n)
                 for t in t_nbs)
         assert len(a.features) == n
         assert np.array_equal(a.features, b.features)
@@ -277,13 +283,30 @@ class TestSelectNeighborhood:
     def test_empty_pool_rejected(self):
         challenge, _, mi, mo = build_selection_setup([0.0], [0.0])
         with pytest.raises(ValueError):
-            nb.select_neighborhood(challenge, np.empty((0, 2)), mi, mo, t_nb=0.75, n=4)
+            nb.fit_kl(challenge, np.empty((0, 2)), mi, mo)
+
+
+class TestCachedFit:
+    def test_cached_fit_picks_like_a_fresh_one(self, tmp_path):
+        # The fit is stored as float64 bytes, so a warm game's pick is the
+        # cold game's, diagnostics included.
+        offsets = [0.0, 0.4, 0.9, 1.5, 2.5]
+        challenge, cands, mi, mo = build_selection_setup(offsets, offsets[::-1])
+        fresh = nb.fit_kl(challenge, cands, mi, mo)
+        assert fresh.shape == (2, len(cands)) and fresh.dtype == np.float64
+        cache = ModelCache(str(tmp_path))
+        cache.put_kl("k", fresh)
+        cached = cache.get_kl("k", len(cands))
+        assert bits(cached.ravel()) == bits(fresh.ravel())
+        a = nb.select_neighborhood(fresh, cands, t_nb=1.0, n=3)
+        b = nb.select_neighborhood(cached, cands, t_nb=1.0, n=3)
+        assert a == b and np.array_equal(a.features, b.features)
 
 
 class TestExport:
     def test_diagnostics_csv(self, tmp_path):
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
-        result = nb.select_neighborhood(challenge, cands, mi, mo, t_nb=0.75, n=1)
+        result = select(challenge, cands, mi, mo, t_nb=0.75, n=1)
         path = tmp_path / "diag.csv"
         nb.export_diagnostics_csv(str(path), np.array([17]), [result])
         lines = path.read_text().strip().splitlines()
