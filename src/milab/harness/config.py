@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .. import datagen
 from ..attack import CHAMELEON, GAP
@@ -19,6 +19,12 @@ from ..poisoner import PoisonConfig
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
+
+
+def _is_int(value) -> bool:
+    """An int and not a bool: JSON's 2.0 or true would pass a range check
+    and fail mid-game, where a count becomes a slice bound or a range."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not all(_is_int(width) and width >= 1 for width in self.hidden_sizes):
+            raise ConfigError(f"hidden_sizes must be positive ints, got {list(self.hidden_sizes)}")
         if self.num_target_models < 2 or self.num_target_models % 2 != 0:
             raise ConfigError("num_target_models must be even and >= 2")
         if self.num_challenge_points < 1:
@@ -113,6 +121,12 @@ class ExperimentConfig:
 
 
 def _build(section: dict, cls, name: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
+    for f in fields(cls):
+        if f.type in ("int", int) and f.name in section and not _is_int(section[f.name]):
+            raise ConfigError(f"bad {name} section: {f.name} must be an integer, "
+                              f"got {section[f.name]!r}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -141,7 +155,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["neighborhood"] = _build(doc.pop("neighborhood"),
                                         NeighborhoodConfig, "neighborhood")
     if "hidden_sizes" in doc:
-        kwargs["hidden_sizes"] = tuple(doc.pop("hidden_sizes"))
+        hidden = doc.pop("hidden_sizes")
+        if not isinstance(hidden, list):
+            raise ConfigError(f"hidden_sizes must be a list of positive ints, got {hidden!r}")
+        kwargs["hidden_sizes"] = tuple(hidden)
     if "attacks" in doc:
         kwargs["attacks"] = tuple(doc.pop("attacks"))
     kwargs.update(doc)

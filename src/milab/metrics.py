@@ -65,14 +65,21 @@ def _as_scores(scores) -> np.ndarray:
     return arr
 
 
+def _share_at_least(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Per threshold t, the share of ``scores`` that are >= t, from one sort:
+    the count over ``scores.size``, as ``np.mean(scores >= t)`` divides it.
+    A NaN score is never >= t."""
+    ranked = np.sort(scores[~np.isnan(scores)])
+    return (ranked.size - np.searchsorted(ranked, thresholds, "left")) / scores.size
+
+
 def roc_curve(scores_in, scores_out) -> RocCurve:
     """Threshold sweep over unique scores, descending; member iff score >= t."""
     s_in, s_out = _as_scores(scores_in), _as_scores(scores_out)
     thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
     thresholds = np.concatenate([[np.inf], thresholds])
-    tpr = np.array([np.mean(s_in >= t) for t in thresholds])
-    fpr = np.array([np.mean(s_out >= t) for t in thresholds])
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+    return RocCurve(fpr=_share_at_least(s_out, thresholds),
+                    tpr=_share_at_least(s_in, thresholds), thresholds=thresholds)
 
 
 def tpr_at_fpr(curve: RocCurve, fpr_target: float) -> float:

@@ -34,19 +34,31 @@ class CandidateDiagnostics:
     selected: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class NeighborhoodSet:
-    """Selected neighbors with their KL diagnostics.
+    """Selected neighbors with their KL diagnostics, as arrays over the rows
+    of the candidate pool.
 
     ``features`` holds the members' features as one [n, dim] matrix, n the
-    configured size; ``diagnostics[j]`` describes row j of the candidate
-    pool. ``fallback_filled`` flags a set in which fewer than n candidates
-    pass the threshold, so some members are closest failing candidates.
+    configured size. ``kl`` is the pool's ``fit_kl`` array [2, pool_size]
+    (kl_in, kl_out); ``admitted[j]`` and ``selected[j]`` flag whether row j
+    passed the threshold and whether it is a member. ``fallback_filled``
+    flags a set in which fewer than n candidates pass the threshold, so some
+    members are closest failing candidates.
     """
 
     fallback_filled: bool
-    diagnostics: list[CandidateDiagnostics]
-    features: np.ndarray = field(compare=False, repr=False)
+    kl: np.ndarray
+    admitted: np.ndarray
+    selected: np.ndarray
+    features: np.ndarray = field(repr=False)
+
+    @property
+    def diagnostics(self) -> list[CandidateDiagnostics]:
+        """One record per pool row, built from the arrays on each access."""
+        return [CandidateDiagnostics(*fields)
+                for fields in zip(self.kl[0].tolist(), self.kl[1].tolist(),
+                                  self.admitted.tolist(), self.selected.tolist())]
 
 
 def _logit_matrix(points: np.ndarray, y: int, models) -> np.ndarray:
@@ -129,14 +141,13 @@ def select_neighborhood(kl: np.ndarray, candidates: np.ndarray, t_nb: float,
     selected = np.zeros(len(candidates), dtype=bool)
     selected[chosen] = True
 
-    diagnostics = [CandidateDiagnostics(*fields)
-                   for fields in zip(kl_in.tolist(), kl_out.tolist(),
-                                     passed.tolist(), selected.tolist())]
     # The members are rows of one matrix, so scoring needs no restacking and
     # the set keeps no reference to the rest of the candidate pool.
     return NeighborhoodSet(
         fallback_filled=len(chosen) > int(passed.sum()),
-        diagnostics=diagnostics,
+        kl=kl,
+        admitted=passed,
+        selected=selected,
         features=candidates[chosen],
     )
 
@@ -155,6 +166,7 @@ def export_diagnostics_csv(path: str, indices: np.ndarray,
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("challenge_index,candidate,kl_in,kl_out,admitted,selected\r\n")
         for index, chosen in zip(indices.tolist(), per_point, strict=True):
-            f.write("".join(["%d,%d,%r,%r,%d,%d\r\n"
-                             % (index, j, d.kl_in, d.kl_out, d.admitted, d.selected)
-                             for j, d in enumerate(chosen.diagnostics)]))
+            kl_in, kl_out = (list(map(repr, row)) for row in chosen.kl.tolist())
+            rows = zip(kl_in, kl_out, chosen.admitted.tolist(), chosen.selected.tolist())
+            f.write("".join(["%d,%d,%s,%s,%d,%d\r\n" % (index, j, *row)
+                             for j, row in enumerate(rows)]))

@@ -88,8 +88,18 @@ class ModelParams:
         return _param_views(self.flat.astype(np.float64), self.dims)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Softmax confidence vector for a single input."""
-        return forward(self.as_float64(), np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
+        """Softmax confidences of one input ``[d]`` (shape ``[C]`` back) or of
+        a stack of inputs ``[n, d]`` (shape ``[n, C]`` back).
+
+        Each row of a stack runs as its own ``[1, d]`` matrix, so it gets the
+        bits of a call on that row alone. A forward pass's bits depend on its
+        batch's shape: ``predict_proba_batch`` runs the rows as one batch and
+        can round them differently."""
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim not in (1, 2):
+            raise ValueError(f"expected one input [d] or a stack [n, d], got shape {X.shape}")
+        probs = forward(self.as_float64(), X.reshape(-1, 1, X.shape[-1]))[:, 0]
+        return probs[0] if X.ndim == 1 else probs
 
     def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
         return forward(self.as_float64(), np.asarray(X, dtype=np.float64))
@@ -130,16 +140,16 @@ def _param_views(flat: np.ndarray, dims) -> LayerList:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax of each row of the logits ``z``, in place; returns the row
-    sums it divided by, shape [rows, 1].
+    """Softmax of each row (last axis) of the logits ``z``, in place;
+    returns the row sums it divided by, with the last axis kept as 1.
 
     A row sum lies in [1, C] when the row is finite. It is NaN exactly when
     the row holds a NaN or +inf, or is all -inf, which is exactly when the
     row's cross-entropy ``-log(max(p_y, 1e-300))`` is non-finite. Calls the
     ufuncs' reductions directly; ``max``/``sum`` wrap the same ones."""
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    row_sums = np.add.reduce(z, axis=1, keepdims=True)
+    row_sums = np.add.reduce(z, axis=-1, keepdims=True)
     z /= row_sums
     return row_sums
 
@@ -161,10 +171,11 @@ def _forward_acts(layers: LayerList, X: np.ndarray):
 
 
 def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
-    """Forward pass to softmax probabilities; dtype follows the inputs."""
-    if X.shape[1] != layers[0][0].shape[1]:
+    """Forward pass to softmax probabilities over the last axis of ``X``
+    (rows ``[n, d]``, or stacks of them); dtype follows the inputs."""
+    if X.shape[-1] != layers[0][0].shape[1]:
         raise ValueError(
-            f"input dim {X.shape[1]} does not match model dim {layers[0][0].shape[1]}")
+            f"input dim {X.shape[-1]} does not match model dim {layers[0][0].shape[1]}")
     return _forward_acts(layers, X)[1]
 
 

@@ -22,7 +22,8 @@ from .datagen import Dataset, make_split_plan
 from .rng import derive_seed
 
 # Trainer seam: a list of (training set, model seed) jobs -> one model per
-# job, in job order; each model exposes predict_proba.
+# job, in job order; each model exposes predict_proba, on one input [d] or a
+# stack [n, d].
 TrainerFn = Callable[[list[tuple[Dataset, int]]], list[Any]]
 
 
@@ -138,9 +139,11 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     iterates: train one model per split on its subset plus the current
     poisoned replicas, measure each unfrozen point's mean confidence over its
     m OUT models, freeze it once the mean reaches t_p and otherwise increment
-    its counter.  Stops when all points are frozen or after iteration k_max;
-    counters are capped at k_max.  Only iteration 0's poison-free models are
-    kept; each later iteration's are dropped once probed.
+    its counter.  Each model is probed once per iteration, on the stack of
+    unfrozen points it is OUT for.  Stops when all points are frozen or after
+    iteration k_max; counters are capped at k_max.  Only iteration 0's
+    poison-free models are kept; each later iteration's are dropped once
+    probed.
     """
     n_c = len(challenges)
     split = make_split_plan(len(d_adv), challenges.indices, 2 * cfg.m,
@@ -149,9 +152,11 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     frozen = np.zeros(n_c, dtype=bool)
     shadow_models: list[Any] = []
     models_trained = 0
-    out_rows = [np.flatnonzero(~split[:, i]) for i in challenges.indices]
-    for rows in out_rows:
-        assert len(rows) == cfg.m, "split plan must give m OUT models per point"
+    # out[r, i]: shadow model r is OUT for point i; out_col[r, i] is then r's
+    # column among point i's OUT models, in ascending model order.
+    out = ~split[:, challenges.indices]
+    assert (out.sum(axis=0) == cfg.m).all(), "split plan must give m OUT models per point"
+    out_col = np.cumsum(out, axis=0) - 1
 
     iterations_run = 0
     for iteration in range(cfg.k_max + 1):
@@ -171,10 +176,18 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
             shadow_models = models
         live = np.flatnonzero(~frozen)
         assert (counts[live] == iteration).all(), "unfrozen counters advance in lockstep"
-        # [unfrozen point, OUT model] confidences on the true labels; each
-        # row's mean sums in the order np.mean of that row alone does.
-        conf = np.array([[models[r].predict_proba(challenges.features[i])[challenges.labels[i]]
-                          for r in out_rows[i]] for i in live.tolist()])
+        # [unfrozen point, OUT model] confidences on the true labels, one
+        # stacked call per model; each row's mean sums in the order np.mean
+        # of that row alone does.
+        conf = np.empty((len(live), cfg.m))
+        for r, model in enumerate(models):
+            rows = np.flatnonzero(out[r, live])
+            if len(rows) == 0:
+                continue
+            points = live[rows]
+            probs = model.predict_proba(challenges.features[points])
+            conf[rows, out_col[r, points]] = probs[np.arange(len(points)),
+                                                   challenges.labels[points]]
         reached = conf.mean(axis=1) <= cfg.t_p
         frozen[live[reached]] = True
         counts[live[~reached]] += 1

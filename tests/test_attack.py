@@ -25,7 +25,9 @@ class LabelTableModel:
 
 def make_neighborhood(features, dim=2):
     matrix = np.array(features, dtype=np.float64).reshape(len(features), dim)
-    return NeighborhoodSet(fallback_filled=False, diagnostics=[], features=matrix)
+    no_pool = np.zeros(0, dtype=bool)
+    return NeighborhoodSet(fallback_filled=False, kl=np.empty((2, 0)), admitted=no_pool,
+                           selected=no_pool, features=matrix)
 
 
 def key(x):

@@ -67,10 +67,39 @@ class TestConfig:
             hc.config_from_dict({"num_target_models": 5})
         with pytest.raises(hc.ConfigError):
             hc.config_from_dict({"attacks": ["chameleon", "boundary"]})
+        with pytest.raises(hc.ConfigError, match="expected an object"):
+            hc.config_from_dict({"dataset": 5})
         for section in ({"size": 128, "pool_size": 64}, {"size": -1}, {"size": 0, "pool_size": 0}):
             with pytest.raises(hc.ConfigError, match="size >= 0, pool_size >= 1 and size <= "):
                 hc.config_from_dict({"neighborhood": section})
         assert hc.config_from_dict({"neighborhood": {"size": 0}}).neighborhood.size == 0
+
+    @pytest.mark.parametrize("doc", [
+        {"neighborhood": {"size": 2.5}},
+        {"num_target_models": 2.0},
+        {"poison": {"k_max": 0.5}},
+        {"train": {"epochs": 1.5, "learning_rate": 0.1}},
+        {"workers": 1.5},
+        {"num_challenge_points": True},
+        {"dataset": {"dim": "16"}},
+        {"hidden_sizes": [-1]},
+        {"hidden_sizes": [0]},
+        {"hidden_sizes": [8, 2.0]},
+        {"hidden_sizes": 128},
+    ])
+    def test_non_integer_counts_rejected(self, doc):
+        # Each passed validation once and failed mid-game, or ran with a
+        # zero-width layer.
+        with pytest.raises(hc.ConfigError, match="int"):
+            hc.config_from_dict(doc)
+
+    def test_non_integer_count_is_a_config_error_on_the_cli(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        for doc in ({"neighborhood": {"size": 2.5}}, {"hidden_sizes": [0]}):
+            cfg_path.write_text(json.dumps(doc))
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_dp_section_parsed(self):
         cfg = hc.config_from_dict({

@@ -19,7 +19,29 @@ def brute_force_points(scores_in, scores_out):
     return points
 
 
+def loop_roc(s_in, s_out):
+    """The per-threshold sweep: one np.mean over all scores per threshold."""
+    thresholds = np.concatenate([[np.inf], np.unique(np.concatenate([s_in, s_out]))[::-1]])
+    return (np.array([np.mean(s_out >= t) for t in thresholds]),
+            np.array([np.mean(s_in >= t) for t in thresholds]), thresholds)
+
+
+TIED_SCORES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1, max_size=40)
+
+
 class TestRocCurve:
+    @given(TIED_SCORES, TIED_SCORES)
+    @settings(max_examples=200, deadline=None)
+    def test_same_floats_as_the_per_threshold_loop(self, s_in, s_out):
+        s_in, s_out = np.array(s_in), np.array(s_out)
+        curve = mt.roc_curve(s_in, s_out)
+        for got, want in zip((curve.fpr, curve.tpr, curve.thresholds),
+                             loop_roc(s_in, s_out)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     def test_perfect_separation_passes_zero_one(self):
         curve = mt.roc_curve([1, 1], [0, 0])
         assert (0.0, 1.0) in set(zip(curve.fpr, curve.tpr))

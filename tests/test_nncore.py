@@ -222,10 +222,30 @@ class TestPredict:
             assert abs(probs.sum() - 1.0) < 1e-9
             assert labels(model, x[None, :]) == [int(np.argmax(probs))]
 
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
+    def test_stack_has_the_bits_of_one_row_calls(self, hidden):
+        # The poison probe stacks its points; each row must keep the bits of
+        # a call on that row alone, which a plain [n, d] batch does not.
+        ds = gen_gaussian_mixture(4, 8, 15, 2.0, seed=5)
+        X = np.random.default_rng(9).normal(0, 2, (24, 8))
+        for seed in range(3):
+            model = nn.train(ds, nn.TrainConfig(epochs=3, learning_rate=0.1, seed=seed),
+                             hidden)
+            stack = model.predict_proba(X)
+            assert stack.shape == (len(X), 4)
+            rows = np.stack([model.predict_proba(x) for x in X])
+            assert np.array_equal(stack.view(np.uint64), rows.view(np.uint64))
+            assert model.predict_proba(X[:1]).shape == (1, 4)
+            assert model.predict_proba(X[:0]).shape == (0, 4)
+
     def test_dimension_mismatch_raises(self):
         model = nn.init_params(4, (3,), 2, seed=0)
         with pytest.raises(ValueError):
             model.predict_proba(np.zeros(5))
+        with pytest.raises(ValueError):
+            model.predict_proba(np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            model.predict_proba(np.zeros((2, 1, 4)))
         with pytest.raises(ValueError):
             labels(model, np.zeros((2, 5)))
 

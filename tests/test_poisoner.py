@@ -18,6 +18,11 @@ class ReplicaCountingModel:
 
     def predict_proba(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2:  # a stack: answer row by row
+            return np.stack([self._probs(row) for row in x])
+        return self._probs(x)
+
+    def _probs(self, x):
         key = x.tobytes()
         num_classes = self.train_set.num_classes
         probs = np.full(num_classes, 1.0 / num_classes)
@@ -39,6 +44,33 @@ class StubTrainer:
     def __call__(self, jobs):
         self.models_trained += len(jobs)
         return [ReplicaCountingModel(train_set, self.schedules) for train_set, _ in jobs]
+
+
+class ProbeRecordingModel(ReplicaCountingModel):
+    """Replica-counting model that records the input of each predict_proba
+    call."""
+
+    def __init__(self, train_set: Dataset, schedules):
+        super().__init__(train_set, schedules)
+        self.calls = []
+
+    def predict_proba(self, x):
+        self.calls.append(np.array(x))
+        return super().predict_proba(x)
+
+
+class ProbeRecordingTrainer(StubTrainer):
+    """Stub trainer that keeps every model it returns, in training order."""
+
+    def __init__(self, schedules):
+        super().__init__(schedules)
+        self.models = []
+
+    def __call__(self, jobs):
+        self.models_trained += len(jobs)
+        models = [ProbeRecordingModel(train_set, self.schedules) for train_set, _ in jobs]
+        self.models += models
+        return models
 
 
 def base_dataset(n=20, dim=3, num_classes=4, seed=0):
@@ -193,6 +225,29 @@ class TestAdaptPoisonMulti:
             subset = np.flatnonzero(plan.split[row])
             np.testing.assert_array_equal(model.train_set.features,
                                           d_adv.features[subset])
+
+    def test_each_model_is_probed_once_per_iteration(self):
+        d_adv = base_dataset(n=30, seed=8)
+        indices = [1, 6, 11, 17, 25]
+        challenges = self.make_challenges(d_adv, indices)
+        mu_fns = [lambda k: 0.05, lambda k: max(0.0, 0.8 - 0.2 * k),
+                  lambda k: 0.9, lambda k: max(0.0, 0.6 - 0.3 * k), lambda k: 0.9]
+        trainer = ProbeRecordingTrainer(self.multi_schedules(d_adv, challenges, mu_fns))
+        cfg = po.PoisonConfig(t_p=0.1, m=3, k_max=6)
+        plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
+        # Each point freezes at the first k whose confidence is at most t_p,
+        # or ends at k_max.
+        assert plan.replica_counts.tolist() == [0, 4, 6, 2, 6]
+        assert len(trainer.models) == plan.models_trained == 2 * 3 * 7
+        for iteration in range(plan.iterations_run + 1):
+            # A point is probed from iteration 0 through its final count.
+            live = plan.replica_counts >= iteration
+            for row in range(2 * cfg.m):
+                calls = trainer.models[iteration * 2 * cfg.m + row].calls
+                out = live & ~plan.split[row, indices]
+                assert len(calls) == int(out.any())
+                if calls:  # one stack: the live points it is OUT for, in order
+                    np.testing.assert_array_equal(calls[0], challenges.features[out])
 
     def test_iteration_zero_models_carry_no_poison(self):
         d_adv = base_dataset(n=10, seed=7)
