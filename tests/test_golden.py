@@ -7,13 +7,13 @@ meant to be a pure refactor or speed-up that moves one float fails here. The
 digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); another BLAS
 build may round matrix products differently. Each game pins its scores,
 metrics and neighbourhood diagnostics, the poison plan (replica counts, split
-bits and the cache keys of the shadow models) and the targets' accuracies in
-``model_stats.csv``. Besides the batched adaptive
-game, ``GAME_ARGS`` pins the per-point strict game and the static baseline,
-which reach the neighbourhood stage through their own poison paths, and a
-``kind: csv`` game, whose pool is read from a CSV written from a seeded
-gaussian mixture and doubles as its evaluation data. The tiny
-games all train without weight decay, so ``MODELS`` adds four models trained
+bits and the cache keys of the shadow models), the targets' accuracies in
+``model_stats.csv`` and the pool's ``dataset.bin`` blob. Besides the
+batched adaptive game, ``GAME_ARGS`` pins the per-point strict game and the
+static baseline, which reach the neighbourhood stage through their own poison
+paths, and a ``kind: csv`` game, whose pool is read from a CSV written from a
+seeded gaussian mixture and doubles as its evaluation data. The tiny games
+all train without weight decay, so ``MODELS`` adds four models trained
 directly with ``nncore.train``: one with weight decay, two hidden layers and
 a ragged last batch; one with DP-SGD noise; one with DP-SGD noise, two hidden
 layers and a ragged last batch; and one whose every step is a single batch
@@ -38,7 +38,7 @@ from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 
 CHECKED = ("scores.csv", "metrics.csv", "neighborhood_diagnostics.csv",
-           "poison_plan.json", "model_stats.csv")
+           "poison_plan.json", "model_stats.csv", "dataset.bin")
 
 
 def _tiny(**overrides) -> hc.ExperimentConfig:
@@ -88,6 +88,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "dbe9047866a5aa4c233a22dddf40f7205b24fb49723c61acec50d549c917a389",
         "poison_plan.json": "5785400c54955466ada4bdbfa3d700838089b2ad4b294cae76345a0793d5c70b",
         "model_stats.csv": "c34ac32d2956f2747e6e43a9940352cfd9b0720a9bc28780345250be1c0c6050",
+        "dataset.bin": "e8a8f50db47bf4143e6a51114e6cb4bcc93b55c7fb0e914f7167adb746893a9a",
     },
     "binary": {
         "scores.csv": "12ff8c0c5dca0ffc12c01fb8dad84793ec048bb792123aa9648b5d73925e58e7",
@@ -95,6 +96,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "b4e32b761ad968d73686939d61f4f75d006bd54e2ccc1c666c00df79a1a4e25e",
         "poison_plan.json": "d376771a0619ea83744ee55bf7376ec493d9e5890a1b5b76a80da687623d0681",
         "model_stats.csv": "69c6532a8bcd066a837ec28cec14099821e41ee8a63cb07efee15bd34e7d887e",
+        "dataset.bin": "eddf67b6b5a3beb1f3f2d049e797c935d4821a3bd20471e0913511c368adfa87",
     },
     "dp_workers2": {
         "scores.csv": "05f0af6d30bfffe8ecbc82d4f708a121c97a2e008daf4c50de50b9b23e680b53",
@@ -102,6 +104,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "80b56ea0096a64d44ace8044c770d95e22b3aed729bfa81ff4262970c2dc3c24",
         "poison_plan.json": "4fec053acd3ae3c515bfdfcc92d1b88fb5aba61d1fad7838f652ddce20efc3b5",
         "model_stats.csv": "f84c9259f3733be34becfc41c62420ffe9b59e14589f895aa8eab7852f82448a",
+        "dataset.bin": "e8a8f50db47bf4143e6a51114e6cb4bcc93b55c7fb0e914f7167adb746893a9a",
     },
     "strict": {
         "scores.csv": "f009e873705f7e6566cd6a9f9c30b60eda1d06c025cbd3d6cabb216389bf12c6",
@@ -109,6 +112,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "c5cc855c024432c98a01e79f7ab6c9109c6f015a5d44be70d32d1c2ac54ba6c0",
         "poison_plan.json": "1833a6f322f04a3130dd7c524bb73722aaf25759cead5b472c356ef6bbb5a17c",
         "model_stats.csv": "49585c34c7560cdde57611fd2865e87e310d3c74af87b94bdb9d4f1a903eeffc",
+        "dataset.bin": "e8a8f50db47bf4143e6a51114e6cb4bcc93b55c7fb0e914f7167adb746893a9a",
     },
     "static_k2": {
         "scores.csv": "c1dd687decd2d2b830e5ab1307a07ff923a5a10e597216730b492a2b444ec1ab",
@@ -116,6 +120,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "cad53703a7388516659ea166f07ef468b5faaffdf0fead3880c57668993ee112",
         "poison_plan.json": "8320ac41c23341d6ed9f86993b75bc87a8048ca500ad6fd4ff8fe28f42a5cb28",
         "model_stats.csv": "6fafef6457d7e69c8607c3198d1deb370216221fb6c4c941dee82bf4cab5aff1",
+        "dataset.bin": "648f44dcb0d9115e53b45ae00697d121b7816bc08f6a9cc97bed332c0ced7351",
     },
     "csv": {
         "scores.csv": "43266a220f0a4807d75625f14e70c03f87c4c4cb32a500911924ae2384978fb0",
@@ -123,6 +128,7 @@ GOLDEN = {
         "neighborhood_diagnostics.csv": "14af20984c2745bb40078d31b2a78dcadfa223b5aaa7f38daa81db339677746f",
         "poison_plan.json": "eab0053bbcaedf206549b4092e3d20eaf35e0d2065e43306808007bfe83d5991",
         "model_stats.csv": "08409b3f362b48a3d149b5a831c75f38abc64ea84434d6731ecea6ebdb9016d0",
+        "dataset.bin": "f34f995c7ae1438c6f3d4b2b2b816b683602e465a4b63efafcfe325256787771",
     },
 }
 
