@@ -36,10 +36,10 @@ class LabelOnlyModel:
         return np.argmax(self._model.predict_proba_batch(X), axis=1)
 
 
-def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]],
-                            neighborhoods: Sequence[NeighborhoodSet]) -> list[float]:
-    """Per challenge point, the fraction of the point and its n neighbors the
-    target mislabels.
+def chameleon_score(target, challenges: Sequence[tuple[np.ndarray, int]],
+                    neighborhoods: Sequence[NeighborhoodSet]) -> np.ndarray:
+    """Per challenge point, the membership score 1 minus the fraction of the
+    point and its n neighbors the target mislabels.
 
     Issues one label query batch holding n+1 rows per point.
     """
@@ -52,23 +52,16 @@ def misclassification_score(target, challenges: Sequence[tuple[np.ndarray, int]]
     wrong = target.predict_label_batch(np.concatenate(queries)) != np.asarray(expected)
     # Each point's count is an exact float sum, as np.mean's is.
     bounds = np.asarray(bounds)
-    return (np.add.reduceat(wrong, bounds[:-1], dtype=np.float64)
-            / np.diff(bounds)).tolist()
+    return 1.0 - np.add.reduceat(wrong, bounds[:-1], dtype=np.float64) / np.diff(bounds)
 
 
-def chameleon_score(target, challenges: Sequence[tuple[np.ndarray, int]],
-                    neighborhoods: Sequence[NeighborhoodSet]) -> list[float]:
-    """Membership score 1 - misclassification fraction over each point's
-    neighborhood, from one label query batch."""
-    return [1.0 - frac for frac in misclassification_score(target, challenges, neighborhoods)]
-
-
-def gap_score(target, challenges: Sequence[tuple[np.ndarray, int]]) -> list[float]:
+def gap_score(target, challenges: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     """Baseline: member iff the target labels the point correctly; one label
     query batch with one row per point."""
     labels = target.predict_label_batch(
         np.stack([np.asarray(x, dtype=np.float64) for x, _ in challenges]))
-    return [1.0 if label == y else 0.0 for label, (_, y) in zip(labels.tolist(), challenges)]
+    ys = np.array([y for _, y in challenges])
+    return (labels == ys).astype(np.float64)
 
 
 def write_scores_csv(path: str, scores: dict[str, np.ndarray], truth: np.ndarray,

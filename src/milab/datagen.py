@@ -11,11 +11,11 @@ pure functions of their seeds.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .nncore import load_entry, save_entry
 from .rng import make_rng
 
 CONTINUOUS = "continuous"
@@ -148,40 +148,28 @@ DATASET_FORMAT = "milab-dataset-v1"
 
 
 def save_dataset(ds: Dataset, stem: str) -> None:
-    """Write ``stem.json`` plus ``stem.bin``: little-endian float32 features
-    (row-major) followed by a uint16 label array."""
+    """Save ``ds`` as a ``nncore.save_entry`` entry under ``stem``: the blob
+    is little-endian float32 features (row-major) followed by uint16 labels."""
     if ds.num_classes > 65535:
         raise ValueError("uint16 labels cannot hold this many classes")
-    feats = np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
-    labels = np.ascontiguousarray(ds.labels, dtype="<u2").tobytes()
-    manifest = {
-        "format": DATASET_FORMAT,
-        "n": len(ds),
-        "dim": ds.dim,
-        "num_classes": ds.num_classes,
-        "feature_dtype": "<f4",
-        "label_dtype": "<u2",
-    }
-    with open(stem + ".json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    with open(stem + ".bin", "wb") as f:
-        f.write(feats)
-        f.write(labels)
+    blob = (np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
+            + np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
+    save_entry(stem, blob, {"format": DATASET_FORMAT, "n": len(ds), "dim": ds.dim,
+                            "num_classes": ds.num_classes,
+                            "feature_dtype": "<f4", "label_dtype": "<u2"})
 
 
 def load_dataset(stem: str) -> Dataset:
-    with open(stem + ".json", "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"unexpected dataset format in {stem}.json")
+    """The dataset saved under ``stem``.
+
+    Raises ValueError when ``nncore.load_entry`` does, or when the blob does
+    not hold ``n`` rows of ``dim`` features plus ``n`` labels."""
+    blob, manifest = load_entry(stem, DATASET_FORMAT)
     n, dim = manifest["n"], manifest["dim"]
-    with open(stem + ".bin", "rb") as f:
-        raw = f.read()
-    feat_bytes = n * dim * 4
-    feats = np.frombuffer(raw[:feat_bytes], dtype="<f4").reshape(n, dim)
-    labels = np.frombuffer(raw[feat_bytes:], dtype="<u2")
-    if labels.size != n:
-        raise ValueError(f"label array size mismatch in {stem}.bin")
+    if len(blob) != n * dim * 4 + n * 2:
+        raise ValueError(f"{stem}.bin does not hold {n} rows of {dim} features")
+    feats = np.frombuffer(blob, dtype="<f4", count=n * dim).reshape(n, dim)
+    labels = np.frombuffer(blob, dtype="<u2", offset=n * dim * 4)
     return Dataset(feats.astype(np.float64), labels.astype(np.int64),
                    manifest["num_classes"])
 

@@ -42,15 +42,6 @@ def _load_cfg(args) -> "ExperimentConfig":
     return cfg
 
 
-def _print_reports(result) -> None:
-    for attack, report in result.reports.items():
-        tprs = " ".join(f"tpr@{t:g}={v:.4f}" for t, v in sorted(report.tpr_at.items()))
-        print(f"{attack}: auc={report.auc:.4f} mi_acc={report.mi_accuracy:.4f} "
-              f"{tprs} tpr@res={report.tpr_at_resolution:.4f}")
-    print(f"replica counts: {result.replica_counts.tolist()}")
-    print(f"outputs in {result.out_dir}")
-
-
 def cmd_theory(args) -> int:
     if args.k is not None:
         points = theory.tpr_vs_k_curve(args.tau, args.classes, args.fpr, [args.k])
@@ -69,17 +60,17 @@ def cmd_theory(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """The privacy game of ``run`` (``k`` is None) and ``static`` (no
+    ``game_strict``)."""
     cfg = _load_cfg(args)
-    result = run_privacy_game(cfg, args.out, cache_dir=args.cache,
+    result = run_privacy_game(cfg, args.out, cache_dir=args.cache, k_static=args.k,
                               game_strict=args.game_strict)
-    _print_reports(result)
-    return 0
-
-
-def cmd_static(args) -> int:
-    cfg = _load_cfg(args)
-    result = run_privacy_game(cfg, args.out, cache_dir=args.cache, k_static=args.k)
-    _print_reports(result)
+    for attack, report in result.reports.items():
+        tprs = " ".join(f"tpr@{t:g}={v:.4f}" for t, v in sorted(report.tpr_at.items()))
+        print(f"{attack}: auc={report.auc:.4f} mi_acc={report.mi_accuracy:.4f} "
+              f"{tprs} tpr@res={report.tpr_at_resolution:.4f}")
+    print(f"replica counts: {result.replica_counts.tolist()}")
+    print(f"outputs in {result.out_dir}")
     return 0
 
 
@@ -126,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p)
     p.add_argument("--game-strict", action="store_true",
                    help="single-point adaptive poisoning per challenge point")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, k=None)
 
     p = sub.add_parser("static", help="fixed-k poisoning baseline")
     _add_run_options(p)
     p.add_argument("--k", type=int, required=True, help="replicas per challenge point")
-    p.set_defaults(func=cmd_static)
+    p.set_defaults(func=cmd_run, game_strict=False)
 
     p = sub.add_parser("ablate", help="sweep one pipeline knob")
     _add_run_options(p)

@@ -42,6 +42,8 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv datasets need csv_path")
+        if self.num_classes < 2:
+            raise ConfigError("num_classes must be >= 2")
         if self.kind == "gaussian" and self.dim < self.num_classes:
             raise ConfigError("gaussian datasets put one class mean per axis, "
                               "so dim must be >= num_classes")
@@ -62,6 +64,8 @@ class NeighborhoodConfig:
         if not 0 <= self.size <= self.pool_size or self.pool_size < 1:
             raise ConfigError("neighborhood needs size >= 0, pool_size >= 1 "
                               "and size <= pool_size")
+        if self.noise_scale is not None and not self.noise_scale > 0:
+            raise ConfigError("noise_scale must be > 0")
 
     def resolved_noise_scale(self, modality: str) -> float:
         if self.noise_scale is not None:
@@ -120,13 +124,33 @@ class ExperimentConfig:
                        dataset=replace(self.dataset, n_per_class=n_per_class))
 
 
+def _is_number(value) -> bool:
+    """An int or a float and not a bool: a string such as "2.5" fails mid-game."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Field annotation -> check of a JSON value and what the check asks for.
+_VALUE_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a number")}
+
+# List fields of the experiment -> what the list must hold.
+_LIST_FIELDS = {"hidden_sizes": "a list of positive ints",
+                "attacks": "a list of attack names"}
+
+
 def _build(section: dict, cls, name: str):
+    """``cls(**section)``, after checking that each ``int`` or ``float``
+    field holds one (or null, where the annotation allows ``None``)."""
     if not isinstance(section, dict):
         raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
     for f in fields(cls):
-        if f.type in ("int", int) and f.name in section and not _is_int(section[f.name]):
-            raise ConfigError(f"bad {name} section: {f.name} must be an integer, "
-                              f"got {section[f.name]!r}")
+        kind, _, optional = str(f.type).partition(" | ")
+        if kind not in _VALUE_CHECKS or f.name not in section:
+            continue
+        check, what = _VALUE_CHECKS[kind]
+        value = section[f.name]
+        if not (check(value) or (value is None and optional == "None")):
+            raise ConfigError(f"bad {name} section: {f.name} must be {what}, "
+                              f"got {value!r}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -143,24 +167,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "dataset" in doc:
         kwargs["dataset"] = _build(doc.pop("dataset"), DatasetConfig, "dataset")
     if "train" in doc:
-        section = dict(doc.pop("train"))
-        if section.get("dp"):
-            section["dp"] = _build(section["dp"], DpConfig, "train.dp")
-        elif "dp" in section:
-            section["dp"] = None
+        section = doc.pop("train")
+        if isinstance(section, dict) and "dp" in section:  # else _build rejects it
+            dp = section["dp"]
+            section = {**section, "dp": _build(dp, DpConfig, "train.dp") if dp else None}
         kwargs["train"] = _build(section, TrainConfig, "train")
     if "poison" in doc:
         kwargs["poison"] = _build(doc.pop("poison"), PoisonConfig, "poison")
     if "neighborhood" in doc:
         kwargs["neighborhood"] = _build(doc.pop("neighborhood"),
                                         NeighborhoodConfig, "neighborhood")
-    if "hidden_sizes" in doc:
-        hidden = doc.pop("hidden_sizes")
-        if not isinstance(hidden, list):
-            raise ConfigError(f"hidden_sizes must be a list of positive ints, got {hidden!r}")
-        kwargs["hidden_sizes"] = tuple(hidden)
-    if "attacks" in doc:
-        kwargs["attacks"] = tuple(doc.pop("attacks"))
+    for key, what in _LIST_FIELDS.items():
+        if key in doc:
+            value = doc.pop(key)
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            kwargs[key] = tuple(value)
     kwargs.update(doc)
     return _build(kwargs, ExperimentConfig, "experiment")
 

@@ -123,17 +123,20 @@ def _quantize(ds: Dataset) -> Dataset:
 
 
 def _gen_dataset(cfg: ExperimentConfig, seed: int, n_per_class: int) -> Dataset:
+    """Pool or evaluation data; what the generator or CSV reader rejects is a
+    config error."""
     d = cfg.dataset
-    if d.kind == "gaussian":
-        return _quantize(gen_gaussian_mixture(d.num_classes, d.dim, n_per_class,
-                                              d.class_sep, seed))
-    if d.kind == "binary":
-        return _quantize(gen_binary_tabular(d.num_classes, d.dim, n_per_class,
-                                            d.flip_noise, seed))
     try:
-        return _quantize(load_csv_dataset(d.csv_path))
+        if d.kind == "gaussian":
+            ds = gen_gaussian_mixture(d.num_classes, d.dim, n_per_class, d.class_sep, seed)
+        elif d.kind == "binary":
+            ds = gen_binary_tabular(d.num_classes, d.dim, n_per_class, d.flip_noise, seed)
+        else:
+            ds = load_csv_dataset(d.csv_path)
+        return _quantize(ds)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad csv dataset {d.csv_path}: {exc}") from None
+        where = f" {d.csv_path}" if d.kind == "csv" else ""
+        raise ConfigError(f"bad {d.kind} dataset{where}: {exc}") from None
 
 
 def _train_job(args) -> nncore.ModelParams:
@@ -359,14 +362,11 @@ def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
         matrix = scores[attack] = np.empty((len(targets), len(points)))
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
-            row: list[float] = []
             for start in range(0, len(points), run):
                 batch = slice(start, start + run)
-                if attack == CHAMELEON:
-                    row += chameleon_score(facade, points[batch], neighborhoods[batch])
-                else:
-                    row += gap_score(facade, points[batch])
-            matrix[j] = row
+                matrix[j, batch] = (
+                    chameleon_score(facade, points[batch], neighborhoods[batch])
+                    if attack == CHAMELEON else gap_score(facade, points[batch]))
             total_queries += facade.query_count
     return scores, total_queries
 

@@ -47,9 +47,10 @@ class TestMisclassificationScore:
         return atk.LabelOnlyModel(LabelTableModel(table))
 
     def score(self, target, nbhood=None):
-        [frac] = atk.misclassification_score(target, [(self.x, self.y)],
-                                             [nbhood or self.nbhood])
-        return frac
+        """The mislabelled fraction: 1 minus the chameleon score."""
+        [score] = atk.chameleon_score(target, [(self.x, self.y)],
+                                      [nbhood or self.nbhood])
+        return 1.0 - score
 
     def test_all_correct_scores_zero(self):
         target = self.facade(correct_on={0, 1, 2, 3, 4})
@@ -83,12 +84,13 @@ class TestMisclassificationScore:
         points = [(self.x, self.y), (other_x, self.y)]
         nbhoods = [self.nbhood, other]
         target = atk.LabelOnlyModel(CountingModel(table))
-        got = atk.misclassification_score(target, points, nbhoods)
+        got = atk.chameleon_score(target, points, nbhoods)
         assert batches == [target.query_count] == [len(self.neighbors) + 1 + 2]
-        alone = [atk.misclassification_score(atk.LabelOnlyModel(LabelTableModel(table)),
-                                             [p], [nb])[0]
+        alone = [atk.chameleon_score(atk.LabelOnlyModel(LabelTableModel(table)),
+                                     [p], [nb])[0]
                  for p, nb in zip(points, nbhoods)]
-        assert got == alone == [3 / 5, 1.0]
+        assert got.dtype == np.float64 and got.tolist() == alone
+        assert (1.0 - got).tolist() == [3 / 5, 1.0]
 
     def test_sixteen_of_sixtyfive(self):
         neighbors = [np.array([float(i), 1.0]) for i in range(64)]
@@ -111,23 +113,21 @@ class TestChameleonScore:
         nbhood = make_neighborhood([np.array([1.5, 2.0])])
         target = atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1))
         [score] = atk.chameleon_score(target, [(x, y)], [nbhood])
-        [frac] = atk.misclassification_score(
-            atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1)), [(x, y)], [nbhood])
-        assert score + frac == 1.0 and frac == 0.5
+        assert score == 1.0 - 0.5  # one of the point and its neighbor is wrong
 
     def test_extreme_conventions(self):
         x, y = np.array([0.0]), 1
         nbhood = make_neighborhood([np.array([2.0])], dim=1)
         always_right = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        assert atk.chameleon_score(always_right, [(x, y)], [nbhood]) == [1.0]
+        assert atk.chameleon_score(always_right, [(x, y)], [nbhood]).tolist() == [1.0]
         always_wrong = atk.LabelOnlyModel(LabelTableModel({}, default=0))
-        assert atk.chameleon_score(always_wrong, [(x, y)], [nbhood]) == [0.0]
+        assert atk.chameleon_score(always_wrong, [(x, y)], [nbhood]).tolist() == [0.0]
 
     def test_empty_neighborhood_uses_single_query(self):
         x, y = np.array([0.0]), 1
         nbhood = make_neighborhood([], dim=1)
         target = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        assert atk.chameleon_score(target, [(x, y)], [nbhood]) == [1.0]
+        assert atk.chameleon_score(target, [(x, y)], [nbhood]).tolist() == [1.0]
         assert target.query_count == 1
 
 
@@ -135,13 +135,13 @@ class TestGapScore:
     def test_correct_prediction_is_member(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 2}))
-        assert atk.gap_score(target, [(x, y)]) == [1.0]
+        assert atk.gap_score(target, [(x, y)]).tolist() == [1.0]
         assert target.query_count == 1
 
     def test_wrong_prediction_is_nonmember(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 0}))
-        assert atk.gap_score(target, [(x, y)]) == [0.0]
+        assert atk.gap_score(target, [(x, y)]).tolist() == [0.0]
 
     def test_separates_members_on_overfit_model(self):
         # A memorising model labels its training points correctly and fresh
@@ -175,8 +175,8 @@ class TestLabelOnlySeam:
 
         x, y = np.array([1.0, 1.0]), 0
         nbhood = make_neighborhood([np.array([1.0, 2.0])])
-        assert atk.chameleon_score(LabelsOnly(), [(x, y)], [nbhood]) == [1.0]
-        assert atk.gap_score(LabelsOnly(), [(x, y)]) == [1.0]
+        assert atk.chameleon_score(LabelsOnly(), [(x, y)], [nbhood]).tolist() == [1.0]
+        assert atk.gap_score(LabelsOnly(), [(x, y)]).tolist() == [1.0]
 
 
 class TestScoreRecords:

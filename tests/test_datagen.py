@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -175,6 +176,24 @@ class TestSerialization:
         loaded = dg.load_dataset(stem)
         assert np.array_equal(loaded.features,
                               ds.features.astype(np.float32).astype(np.float64))
+
+    def test_flipped_byte_is_rejected(self, tmp_path):
+        stem = str(tmp_path / "data")
+        dg.save_dataset(dg.gen_binary_tabular(3, 8, 4, 0.1, seed=1), stem)
+        blob = bytearray((tmp_path / "data.bin").read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        (tmp_path / "data.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="sha256"):
+            dg.load_dataset(stem)
+
+    def test_manifest_rows_must_fit_the_blob(self, tmp_path):
+        stem = str(tmp_path / "data")
+        dg.save_dataset(dg.gen_binary_tabular(3, 8, 4, 0.1, seed=1), stem)
+        manifest = json.loads((tmp_path / "data.json").read_text())
+        manifest["n"] += 1
+        (tmp_path / "data.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="does not hold"):
+            dg.load_dataset(stem)
 
     def test_csv_import(self, tmp_path):
         path = tmp_path / "tab.csv"

@@ -73,6 +73,17 @@ class TestConfig:
             with pytest.raises(hc.ConfigError, match="size >= 0, pool_size >= 1 and size <= "):
                 hc.config_from_dict({"neighborhood": section})
         assert hc.config_from_dict({"neighborhood": {"size": 0}}).neighborhood.size == 0
+        # A non-container train section or attacks value was a TypeError, and
+        # a string's letters were read as attack names.
+        for doc, message in (({"attacks": 5}, "must be a list"),
+                             ({"attacks": "gap"}, "must be a list"),
+                             ({"train": 5}, "expected an object")):
+            with pytest.raises(hc.ConfigError, match=message):
+                hc.config_from_dict(doc)
+        # A float field takes an int, and null where it may be None.
+        cfg = hc.config_from_dict({"dataset": {"class_sep": 3},
+                                   "neighborhood": {"noise_scale": None}})
+        assert (cfg.dataset.class_sep, cfg.neighborhood.noise_scale) == (3, None)
 
     @pytest.mark.parametrize("doc", [
         {"neighborhood": {"size": 2.5}},
@@ -100,6 +111,27 @@ class TestConfig:
             cfg_path.write_text(json.dumps(doc))
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"attacks": 5},
+        {"attacks": "gap"},
+        {"train": 5},
+        {"neighborhood": {"t_nb": "x"}},
+        {"dataset": {"class_sep": "2.5"}},
+        {"dataset": {"class_sep": 0}},
+        {"dataset": {"kind": "binary", "flip_noise": 0.7}},
+        {"dataset": {"kind": "binary", "dim": 0}},
+        {"dataset": {"num_classes": 1}},
+        {"neighborhood": {"noise_scale": 0}},
+    ])
+    def test_bad_value_is_a_config_error_on_the_cli(self, doc, tmp_path):
+        # All but the string attacks used to exit 2, some after the poison
+        # stage had run and left the run directory behind.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_dp_section_parsed(self):
         cfg = hc.config_from_dict({
@@ -405,6 +437,13 @@ class TestPrivacyGame:
         for index, rows in per_point.items():
             assert [int(r["candidate"]) for r in rows] == list(range(pool_size)), index
             assert sum(int(r["selected"]) for r in rows) == size, index
+
+    def test_dataset_manifest_digest_is_the_run_manifests(self, tmp_path):
+        out = tmp_path / "run"
+        hr.run_privacy_game(tiny_config(), str(out))
+        dataset = json.loads((out / "dataset.json").read_text())
+        run = json.loads((out / "run_manifest.json").read_text())
+        assert dataset["sha256"] == run["artifacts"]["dataset"]["sha256"]
 
     def test_manifest_detects_tampering(self, tmp_path):
         out = tmp_path / "run"
