@@ -1,6 +1,9 @@
 """Label-only distinguishing tests: the neighborhood misclassification score
 and the correct/incorrect baseline.
 
+Both take the points as the rows of one matrix and their labels as one
+vector; chameleon takes the neighbors as one [points, size, dim] array.
+
 Target models are reached only through :class:`LabelOnlyModel`, which exposes
 predicted labels and a query counter but no confidences, so every attack here
 is label-only by construction.
@@ -9,11 +12,8 @@ is label-only by construction.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 
 import numpy as np
-
-from .neighborhood import NeighborhoodSet
 
 CHAMELEON = "chameleon"
 GAP = "gap"
@@ -36,32 +36,22 @@ class LabelOnlyModel:
         return np.argmax(self._model.predict_proba_batch(X), axis=1)
 
 
-def chameleon_score(target, challenges: Sequence[tuple[np.ndarray, int]],
-                    neighborhoods: Sequence[NeighborhoodSet]) -> np.ndarray:
-    """Per challenge point, the membership score 1 minus the fraction of the
-    point and its n neighbors the target mislabels.
-
-    Issues one label query batch holding n+1 rows per point.
-    """
-    queries, expected, bounds = [], [], [0]
-    for (x, y), neighborhood in zip(challenges, neighborhoods, strict=True):
-        queries += [np.asarray(x, dtype=np.float64)[None, :], neighborhood.features]
-        rows = len(neighborhood.features) + 1
-        expected.extend([y] * rows)
-        bounds.append(bounds[-1] + rows)
-    wrong = target.predict_label_batch(np.concatenate(queries)) != np.asarray(expected)
+def chameleon_score(target, X: np.ndarray, y: np.ndarray,
+                    members: np.ndarray) -> np.ndarray:
+    """Per challenge point (row of ``X``, label in ``y``), 1 minus the
+    fraction of it and its neighbors (the rows of ``members[p]``) the target
+    mislabels, from one label query batch of size + 1 rows per point."""
+    points, size, dim = members.shape
+    rows = np.concatenate([X[:, None, :], members], axis=1).reshape(-1, dim)
+    wrong = target.predict_label_batch(rows).reshape(points, size + 1) != y[:, None]
     # Each point's count is an exact float sum, as np.mean's is.
-    bounds = np.asarray(bounds)
-    return 1.0 - np.add.reduceat(wrong, bounds[:-1], dtype=np.float64) / np.diff(bounds)
+    return 1.0 - wrong.sum(axis=1, dtype=np.float64) / (size + 1)
 
 
-def gap_score(target, challenges: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+def gap_score(target, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Baseline: member iff the target labels the point correctly; one label
     query batch with one row per point."""
-    labels = target.predict_label_batch(
-        np.stack([np.asarray(x, dtype=np.float64) for x, _ in challenges]))
-    ys = np.array([y for _, y in challenges])
-    return (labels == ys).astype(np.float64)
+    return (target.predict_label_batch(X) == y).astype(np.float64)
 
 
 def write_scores_csv(path: str, scores: dict[str, np.ndarray], truth: np.ndarray,

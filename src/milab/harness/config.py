@@ -125,12 +125,12 @@ class ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    """An int or a float and not a bool: a string such as "2.5" fails mid-game."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float, not a bool: "2.5", Infinity or NaN fails mid-game."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 # Field annotation -> check of a JSON value and what the check asks for.
-_VALUE_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a number")}
+_VALUE_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a finite number")}
 
 # List fields of the experiment -> what the list must hold.
 _LIST_FIELDS = {"hidden_sizes": "a list of positive ints",
@@ -168,9 +168,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["dataset"] = _build(doc.pop("dataset"), DatasetConfig, "dataset")
     if "train" in doc:
         section = doc.pop("train")
-        if isinstance(section, dict) and "dp" in section:  # else _build rejects it
-            dp = section["dp"]
-            section = {**section, "dp": _build(dp, DpConfig, "train.dp") if dp else None}
+        if isinstance(section, dict) and section.get("dp") is not None:  # null: no DP
+            section = {**section, "dp": _build(section["dp"], DpConfig, "train.dp")}
         kwargs["train"] = _build(section, TrainConfig, "train")
     if "poison" in doc:
         kwargs["poison"] = _build(doc.pop("poison"), PoisonConfig, "poison")

@@ -184,6 +184,8 @@ def _make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     on the training pool."""
     pool = _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_DATASET),
                         cfg.dataset.n_per_class)
+    if cfg.num_challenge_points > len(pool):  # a CSV's size shows only here
+        raise ConfigError("more challenge points than pool points")
     if cfg.dataset.kind == "csv":
         return pool, pool
     eval_per_class = max(1, cfg.eval_size // cfg.dataset.num_classes)
@@ -191,8 +193,6 @@ def _make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _pick_challenges(cfg: ExperimentConfig, pool: Dataset) -> ChallengeSet:
-    if cfg.num_challenge_points > len(pool):
-        raise ConfigError("more challenge points than pool points")
     gen = make_rng(cfg.master_seed, TAG_CHALLENGES)
     indices = gen.choice(len(pool), size=cfg.num_challenge_points, replace=False)
     return make_challenge_set(pool, indices)
@@ -351,22 +351,23 @@ def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
     ``(pool_size + 1) // (size + 1)`` points for chameleon, which queries each
     point with its ``size`` neighbors, and ``pool_size + 1`` for gap. So a
     batch holds at most ``pool_size + 1`` rows, the batch size the
-    neighborhood stage already runs, and batching adds no peak memory."""
-    points = [(challenges.features[pos], int(challenges.labels[pos]))
-              for pos in range(len(challenges))]
+    neighborhood stage already runs. The neighbors are stacked once per game
+    into one [points, size, dim] array, a second copy of them."""
+    X, y = challenges.features, challenges.labels
+    members = np.stack([nb.features for nb in neighborhoods])
     cap = cfg.neighborhood.pool_size + 1
     scores: dict[str, np.ndarray] = {}
     total_queries = 0
     for attack in cfg.attacks:
         run = cap // (cfg.neighborhood.size + 1) if attack == CHAMELEON else cap
-        matrix = scores[attack] = np.empty((len(targets), len(points)))
+        matrix = scores[attack] = np.empty((len(targets), len(X)))
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
-            for start in range(0, len(points), run):
+            for start in range(0, len(X), run):
                 batch = slice(start, start + run)
                 matrix[j, batch] = (
-                    chameleon_score(facade, points[batch], neighborhoods[batch])
-                    if attack == CHAMELEON else gap_score(facade, points[batch]))
+                    chameleon_score(facade, X[batch], y[batch], members[batch])
+                    if attack == CHAMELEON else gap_score(facade, X[batch], y[batch]))
             total_queries += facade.query_count
     return scores, total_queries
 

@@ -104,26 +104,20 @@ def auc(scores_in, scores_out) -> float:
     return float(u / (s_in.size * s_out.size))
 
 
-def mi_accuracy(scores_in, scores_out) -> float:
-    """Best balanced accuracy (TPR + TNR)/2 over the threshold sweep."""
-    return compute_report(scores_in, scores_out, fpr_targets=()).mi_accuracy
-
-
-def compute_report(scores_in, scores_out,
-                   fpr_targets=DEFAULT_FPR_TARGETS) -> MetricReport:
-    """Full metric report; warns when a target FPR is below 1/n_out."""
+def compute_report(scores_in, scores_out) -> MetricReport:
+    """Full report at ``DEFAULT_FPR_TARGETS``; warns of a target FPR below 1/n_out."""
     s_in, s_out = _as_scores(scores_in), _as_scores(scores_out)
     curve = roc_curve(s_in, s_out)
     resolution = 1.0 / s_out.size
     notes = []
-    for t in fpr_targets:
+    for t in DEFAULT_FPR_TARGETS:
         if 0 < t < resolution:
             msg = (f"requested FPR {t} is below the resolution {resolution:.6g} "
                    f"achievable with {s_out.size} OUT observations")
             notes.append(msg)
             logger.warning(msg)
     return MetricReport(
-        tpr_at={float(t): tpr_at_fpr(curve, t) for t in fpr_targets},
+        tpr_at={float(t): tpr_at_fpr(curve, t) for t in DEFAULT_FPR_TARGETS},
         auc=auc(s_in, s_out),
         mi_accuracy=float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0)),
         n_in=s_in.size,

@@ -213,21 +213,6 @@ def _contract_grads(acts, deltas, grads: LayerList, weights: np.ndarray | None =
         np.add.reduce(d, axis=0, out=gb)
 
 
-def mean_loss(layers: LayerList, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy over a batch (used by finite-difference checks)."""
-    p_y = forward(layers, X)[np.arange(X.shape[0]), y]
-    return -np.log(np.maximum(p_y, 1e-300)).sum() / X.shape[0]
-
-
-def mean_grads(layers: LayerList, X: np.ndarray, y: np.ndarray) -> LayerList:
-    """Analytic gradient of the mean cross-entropy over a batch."""
-    acts, deltas, _ = _forward_backward(layers, X, np.eye(layers[-1][0].shape[0])[y])
-    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
-    _contract_grads(acts, deltas, grads)
-    n = X.shape[0]
-    return [(gw / n, gb / n) for gw, gb in grads]
-
-
 def _clip_factors(acts, deltas, clip_norm: float, in_sq: np.ndarray) -> np.ndarray:
     """Per-example factors min(1, clip_norm / ||g_i||) for one DP-SGD step.
 

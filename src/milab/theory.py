@@ -6,8 +6,8 @@ that a model classifies the challenge point correctly has a closed form in
 (tau, C, k, m1), where m1 is the membership bit.  From the two resulting
 Bernoulli observation distributions, the best randomized label-only test at a
 fixed false positive rate is a two-variable linear program whose optimum has
-a closed form; ``np_oracle`` re-derives it by direct boundary analysis of the
-LP and serves as an independent check on ``optimal_tpr``.
+a closed form, ``optimal_tpr``.  The test suite's ``tests/oracles.py``
+re-derives it by direct boundary analysis of the LP as an independent check.
 
 All evaluations factor exponentials so that only non-positive exponents are
 ever taken, and the optimum is computed in a cancellation-free arrangement;
@@ -60,21 +60,6 @@ class OptimalAttackPoint:
     fpr: float
 
 
-def prob_correct(params: TheoryParams) -> float:
-    """Probability the trained model classifies the challenge point correctly.
-
-    Equals 1 / (e^{(k-m1)/tau} + 1 + (C-2) e^{-m1/tau}); evaluated with the
-    largest exponent factored out so it never overflows and degrades
-    gracefully to 0.0 when the probability underflows float64.
-    """
-    a1 = (params.k - params.m1) / params.tau
-    a3 = -params.m1 / params.tau
-    m = max(a1, 0.0)
-    denom = (math.exp(a1 - m) + math.exp(-m)
-             + (params.num_classes - 2) * math.exp(a3 - m))
-    return math.exp(-m) / denom
-
-
 def optimal_tpr(params: TheoryParams) -> OptimalAttackPoint:
     """Maximum TPR of a label-only test at FPR = x_prime with k replicas.
 
@@ -106,39 +91,6 @@ def optimal_tpr(params: TheoryParams) -> OptimalAttackPoint:
         inv_n1 = es / n1s
         tpr = (x * (1.0 - inv_d) + inv_d - inv_n1) / (1.0 - inv_n1)
     return OptimalAttackPoint(k=params.k, tpr=tpr, p=p, fpr=x)
-
-
-def np_oracle(params: TheoryParams) -> OptimalAttackPoint:
-    """Independent optimum via the two-variable linear program.
-
-    The label-only observation is binary: the model's answer on the challenge
-    point is correct or not.  A randomized test says "member" with probability
-    p0 on a correct answer and p1 on an incorrect one.  Maximising
-    p0*a_in + p1*(1-a_in) subject to p0*a_out + p1*(1-a_out) = x' over the
-    unit square is linear along the feasible segment, so the optimum sits at
-    one of its endpoints; both are evaluated explicitly.
-    """
-    x = params.x_prime
-    a_out = prob_correct(TheoryParams(params.tau, params.num_classes, params.k, 0))
-    a_in = prob_correct(TheoryParams(params.tau, params.num_classes, params.k, 1))
-
-    if a_out == 0.0:
-        # Degenerate regime: correct answers never occur under H0, so p0 is
-        # unconstrained and the best test sets p0 = 1, p1 = x'.
-        return OptimalAttackPoint(k=params.k, tpr=a_in + x * (1.0 - a_in),
-                                  p=x, fpr=x)
-
-    # Feasible p1 interval from 0 <= p0 <= 1 intersected with [0, 1].
-    p1_lo = max(0.0, (x - a_out) / (1.0 - a_out))
-    p1_hi = min(1.0, x / (1.0 - a_out))
-    best = None
-    for p1 in (p1_lo, p1_hi):
-        p0 = (x - p1 * (1.0 - a_out)) / a_out
-        p0 = min(1.0, max(0.0, p0))
-        tpr = p0 * a_in + p1 * (1.0 - a_in)
-        if best is None or tpr > best[0]:
-            best = (tpr, p1)
-    return OptimalAttackPoint(k=params.k, tpr=best[0], p=best[1], fpr=x)
 
 
 def tpr_vs_k_curve(tau: float, num_classes: int, x_prime: float,

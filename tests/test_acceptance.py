@@ -17,7 +17,6 @@ import pytest
 from scipy.integrate import quad
 
 from milab import metrics as mt
-from milab import nncore as nn
 from milab import theory as th
 from milab.datagen import Dataset, make_split_plan
 from milab.harness import config as hc
@@ -26,6 +25,7 @@ from milab.neighborhood import kl_gaussian
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import (PoisonConfig, adapt_poison_multi,
                             adapt_poison_single, make_challenge_set)
+from oracles import mean_grads, mean_loss, np_oracle, prob_correct
 
 logging.disable(logging.WARNING)
 
@@ -42,7 +42,7 @@ class TestCriterion1:
                                   int(gen.integers(0, 21)), 0, float(gen.uniform(0, 1)))
                   for _ in range(1000)]
         start = time.perf_counter()
-        worst = max(abs(th.optimal_tpr(p).tpr - th.np_oracle(p).tpr) for p in params)
+        worst = max(abs(th.optimal_tpr(p).tpr - np_oracle(p).tpr) for p in params)
         elapsed = time.perf_counter() - start
         report(1, worst < 1e-9 and elapsed < 1.0,
                f"closed form vs LP oracle on 1000 tuples: worst |diff| = "
@@ -67,7 +67,7 @@ class TestCriterion3:
     def test_classification_probability_properties(self):
         start = time.perf_counter()
         uniform_ok = all(
-            th.prob_correct(th.TheoryParams(0.7, C, 0, 0)) == 1.0 / C
+            prob_correct(th.TheoryParams(0.7, C, 0, 0)) == 1.0 / C
             for C in range(2, 60))
         gen = np.random.default_rng(7)
         mono_ok, order_ok = True, True
@@ -75,12 +75,12 @@ class TestCriterion3:
             tau = gen.uniform(0.1, 2.0)
             C = int(gen.integers(2, 101))
             k = int(gen.integers(0, 20))
-            p_in = th.prob_correct(th.TheoryParams(tau, C, k, 1))
-            p_out = th.prob_correct(th.TheoryParams(tau, C, k, 0))
+            p_in = prob_correct(th.TheoryParams(tau, C, k, 1))
+            p_out = prob_correct(th.TheoryParams(tau, C, k, 0))
             order_ok &= p_in >= p_out
             m1 = int(gen.integers(0, 2))
-            mono_ok &= (th.prob_correct(th.TheoryParams(tau, C, k, m1))
-                        > th.prob_correct(th.TheoryParams(tau, C, k + 1, m1)))
+            mono_ok &= (prob_correct(th.TheoryParams(tau, C, k, m1))
+                        > prob_correct(th.TheoryParams(tau, C, k + 1, m1)))
         elapsed = time.perf_counter() - start
         report(3, uniform_ok and mono_ok and order_ok and elapsed < 1.0,
                f"k=0,m1=0 gives exactly 1/C; strict decrease in k; member >= "
@@ -135,7 +135,8 @@ class TestCriterion5:
             best_bal = max((np.mean(np.asarray(s_in) >= t)
                             + np.mean(np.asarray(s_out) < t)) / 2
                            for t in thresholds)
-            acc_ok &= mt.mi_accuracy(s_in, s_out) == pytest.approx(best_bal, abs=1e-12)
+            acc_ok &= mt.compute_report(s_in, s_out).mi_accuracy == pytest.approx(
+                best_bal, abs=1e-12)
             curve = mt.roc_curve(s_in, s_out)
             target = float(gen.uniform(0, 1))
             achievable = [(np.mean(np.asarray(s_out) >= t),
@@ -162,7 +163,7 @@ class TestCriterion6:
                       for i, o in zip(dims[:-1], dims[1:])]
             X = gen.normal(0, 1, (int(gen.integers(2, 8)), dims[0]))
             y = gen.integers(0, dims[-1], X.shape[0])
-            analytic = nn.mean_grads(layers, X, y)
+            analytic = mean_grads(layers, X, y)
             h = 1e-5
             for li, (w, b) in enumerate(layers):
                 for arr, g_an in ((w, analytic[li][0]), (b, analytic[li][1])):
@@ -172,9 +173,9 @@ class TestCriterion6:
                         ix = it.multi_index
                         orig = arr[ix]
                         arr[ix] = orig + h
-                        lp = nn.mean_loss(layers, X, y)
+                        lp = mean_loss(layers, X, y)
                         arr[ix] = orig - h
-                        lm = nn.mean_loss(layers, X, y)
+                        lm = mean_loss(layers, X, y)
                         arr[ix] = orig
                         fd[ix] = (lp - lm) / (2 * h)
                     rel = (np.linalg.norm(fd - g_an)

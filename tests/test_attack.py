@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milab import attack as atk
 from milab import nncore as nn
 from milab.datagen import gen_gaussian_mixture
-from milab.neighborhood import NeighborhoodSet
 
 
 class LabelTableModel:
@@ -23,15 +24,15 @@ class LabelTableModel:
         return out
 
 
-def make_neighborhood(features, dim=2):
-    matrix = np.array(features, dtype=np.float64).reshape(len(features), dim)
-    no_pool = np.zeros(0, dtype=bool)
-    return NeighborhoodSet(fallback_filled=False, kl=np.empty((2, 0)), admitted=no_pool,
-                           selected=no_pool, features=matrix)
-
-
 def key(x):
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def one_point(x, y, neighbors, dim=2):
+    """``chameleon_score``'s arrays for one point: X [1, dim], y [1] and its
+    neighbors as members [1, n, dim]."""
+    members = np.array(neighbors, dtype=np.float64).reshape(1, len(neighbors), dim)
+    return np.asarray(x, dtype=np.float64)[None, :], np.array([y]), members
 
 
 class TestMisclassificationScore:
@@ -39,17 +40,16 @@ class TestMisclassificationScore:
         self.x = np.array([9.0, 9.0])
         self.y = 1
         self.neighbors = [np.array([9.0 + i, 0.0]) for i in range(4)]
-        self.nbhood = make_neighborhood(self.neighbors)
 
     def facade(self, correct_on):
         table = {key(q): (self.y if i in correct_on else 3)
                  for i, q in enumerate([self.x] + self.neighbors)}
         return atk.LabelOnlyModel(LabelTableModel(table))
 
-    def score(self, target, nbhood=None):
+    def score(self, target, neighbors=None):
         """The mislabelled fraction: 1 minus the chameleon score."""
-        [score] = atk.chameleon_score(target, [(self.x, self.y)],
-                                      [nbhood or self.nbhood])
+        neighbors = self.neighbors if neighbors is None else neighbors
+        [score] = atk.chameleon_score(target, *one_point(self.x, self.y, neighbors))
         return 1.0 - score
 
     def test_all_correct_scores_zero(self):
@@ -71,8 +71,10 @@ class TestMisclassificationScore:
 
     def test_batch_equals_points_one_at_a_time(self):
         # Two points of one label (the first one's neighbors) in one batch.
+        # The second point's neighbors past the first are padding, which
+        # the table leaves at the default, wrong label.
         other_x = np.array([-1.0, -1.0])
-        other = make_neighborhood([np.array([-2.0, -1.0])])
+        other = [np.array([-2.0 - i, -1.0]) for i in range(len(self.neighbors))]
         table = {key(self.x): self.y, key(self.neighbors[1]): self.y, key(other_x): 3}
         batches = []
 
@@ -81,53 +83,72 @@ class TestMisclassificationScore:
                 batches.append(len(X))
                 return super().predict_proba_batch(X)
 
-        points = [(self.x, self.y), (other_x, self.y)]
-        nbhoods = [self.nbhood, other]
+        X = np.stack([self.x, other_x])
+        y = np.array([self.y, self.y])
+        members = np.stack([np.stack(self.neighbors), np.stack(other)])
         target = atk.LabelOnlyModel(CountingModel(table))
-        got = atk.chameleon_score(target, points, nbhoods)
-        assert batches == [target.query_count] == [len(self.neighbors) + 1 + 2]
+        got = atk.chameleon_score(target, X, y, members)
+        assert batches == [target.query_count] == [2 * (len(self.neighbors) + 1)]
         alone = [atk.chameleon_score(atk.LabelOnlyModel(LabelTableModel(table)),
-                                     [p], [nb])[0]
-                 for p, nb in zip(points, nbhoods)]
+                                     X[p:p + 1], y[p:p + 1], members[p:p + 1])[0]
+                 for p in range(2)]
         assert got.dtype == np.float64 and got.tolist() == alone
         assert (1.0 - got).tolist() == [3 / 5, 1.0]
 
     def test_sixteen_of_sixtyfive(self):
         neighbors = [np.array([float(i), 1.0]) for i in range(64)]
-        nbhood = make_neighborhood(neighbors)
         wrong = set(range(16))  # first 16 queries mismatch
         table = {key(q): (3 if i in wrong else self.y)
                  for i, q in enumerate([self.x] + neighbors)}
         target = atk.LabelOnlyModel(LabelTableModel(table))
-        assert self.score(target, nbhood) == pytest.approx(16 / 65)
+        assert self.score(target, neighbors) == pytest.approx(16 / 65)
 
     def test_invariant_to_neighbor_order(self):
         base = self.score(self.facade(correct_on={0, 1, 4}))
-        shuffled = make_neighborhood([self.neighbors[i] for i in (2, 0, 3, 1)])
+        shuffled = [self.neighbors[i] for i in (2, 0, 3, 1)]
         assert self.score(self.facade(correct_on={0, 1, 4}), shuffled) == base
+
+    @given(data=st.data(), points=st.integers(1, 6), size=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_point_mean_of_mislabels(self, data, points, size):
+        # Row r of the query batch carries r in its first feature, and the
+        # label table answers r with labels[r].
+        def draw_labels(n):
+            return np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+        labels, y = draw_labels(points * (size + 1)), draw_labels(points)
+        ids = np.arange(points * (size + 1), dtype=np.float64).reshape(points, size + 1)
+        rows = np.stack([ids, np.ones_like(ids)], axis=-1)
+
+        class RowLabels:
+            def predict_label_batch(self, X):
+                return labels[X[:, 0].astype(int)]
+
+        got = atk.chameleon_score(RowLabels(), rows[:, 0], y, rows[:, 1:])
+        want = [1 - np.mean(labels[p * (size + 1):(p + 1) * (size + 1)] != y[p])
+                for p in range(points)]
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 class TestChameleonScore:
     def test_score_is_one_minus_fraction(self):
         x, y = np.array([1.0, 2.0]), 2
-        nbhood = make_neighborhood([np.array([1.5, 2.0])])
         target = atk.LabelOnlyModel(LabelTableModel({key(x): y}, default=1))
-        [score] = atk.chameleon_score(target, [(x, y)], [nbhood])
+        [score] = atk.chameleon_score(target, *one_point(x, y, [np.array([1.5, 2.0])]))
         assert score == 1.0 - 0.5  # one of the point and its neighbor is wrong
 
     def test_extreme_conventions(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([np.array([2.0])], dim=1)
+        arrays = one_point(x, y, [np.array([2.0])], dim=1)
         always_right = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        assert atk.chameleon_score(always_right, [(x, y)], [nbhood]).tolist() == [1.0]
+        assert atk.chameleon_score(always_right, *arrays).tolist() == [1.0]
         always_wrong = atk.LabelOnlyModel(LabelTableModel({}, default=0))
-        assert atk.chameleon_score(always_wrong, [(x, y)], [nbhood]).tolist() == [0.0]
+        assert atk.chameleon_score(always_wrong, *arrays).tolist() == [0.0]
 
     def test_empty_neighborhood_uses_single_query(self):
         x, y = np.array([0.0]), 1
-        nbhood = make_neighborhood([], dim=1)
         target = atk.LabelOnlyModel(LabelTableModel({}, default=y))
-        assert atk.chameleon_score(target, [(x, y)], [nbhood]).tolist() == [1.0]
+        assert atk.chameleon_score(target, *one_point(x, y, [], dim=1)).tolist() == [1.0]
         assert target.query_count == 1
 
 
@@ -135,13 +156,13 @@ class TestGapScore:
     def test_correct_prediction_is_member(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 2}))
-        assert atk.gap_score(target, [(x, y)]).tolist() == [1.0]
+        assert atk.gap_score(target, x[None, :], np.array([y])).tolist() == [1.0]
         assert target.query_count == 1
 
     def test_wrong_prediction_is_nonmember(self):
         x, y = np.array([3.0]), 2
         target = atk.LabelOnlyModel(LabelTableModel({key(x): 0}))
-        assert atk.gap_score(target, [(x, y)]).tolist() == [0.0]
+        assert atk.gap_score(target, x[None, :], np.array([y])).tolist() == [0.0]
 
     def test_separates_members_on_overfit_model(self):
         # A memorising model labels its training points correctly and fresh
@@ -151,10 +172,8 @@ class TestGapScore:
         model = nn.train(train, nn.TrainConfig(epochs=150, learning_rate=0.1,
                                                batch_size=8, seed=0), (64,))
         target = atk.LabelOnlyModel(model)
-        score_in = np.mean(atk.gap_score(target, list(zip(train.features,
-                                                          train.labels.tolist()))))
-        score_out = np.mean(atk.gap_score(target, list(zip(fresh.features,
-                                                           fresh.labels.tolist()))))
+        score_in = np.mean(atk.gap_score(target, train.features, train.labels))
+        score_out = np.mean(atk.gap_score(target, fresh.features, fresh.labels))
         assert score_in > score_out
         assert target.query_count == len(train) + len(fresh)
 
@@ -173,10 +192,9 @@ class TestLabelOnlySeam:
             def predict_label_batch(self, X):
                 return np.zeros(len(X), dtype=int)
 
-        x, y = np.array([1.0, 1.0]), 0
-        nbhood = make_neighborhood([np.array([1.0, 2.0])])
-        assert atk.chameleon_score(LabelsOnly(), [(x, y)], [nbhood]).tolist() == [1.0]
-        assert atk.gap_score(LabelsOnly(), [(x, y)]).tolist() == [1.0]
+        X, y, members = one_point(np.array([1.0, 1.0]), 0, [np.array([1.0, 2.0])])
+        assert atk.chameleon_score(LabelsOnly(), X, y, members).tolist() == [1.0]
+        assert atk.gap_score(LabelsOnly(), X, y).tolist() == [1.0]
 
 
 class TestScoreRecords:

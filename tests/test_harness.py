@@ -80,10 +80,13 @@ class TestConfig:
                              ({"train": 5}, "expected an object")):
             with pytest.raises(hc.ConfigError, match=message):
                 hc.config_from_dict(doc)
-        # A float field takes an int, and null where it may be None.
+        # A float field takes an int, and null where it may be None. It must
+        # be finite, but every KL value is, so a large t_nb admits every
+        # candidate as Infinity would.
         cfg = hc.config_from_dict({"dataset": {"class_sep": 3},
-                                   "neighborhood": {"noise_scale": None}})
-        assert (cfg.dataset.class_sep, cfg.neighborhood.noise_scale) == (3, None)
+                                   "neighborhood": {"noise_scale": None, "t_nb": 1e300}})
+        assert (cfg.dataset.class_sep, cfg.neighborhood.noise_scale,
+                cfg.neighborhood.t_nb) == (3, None, 1e300)
 
     @pytest.mark.parametrize("doc", [
         {"neighborhood": {"size": 2.5}},
@@ -123,10 +126,16 @@ class TestConfig:
         {"dataset": {"kind": "binary", "dim": 0}},
         {"dataset": {"num_classes": 1}},
         {"neighborhood": {"noise_scale": 0}},
+        {"train": {"epochs": 2, "learning_rate": float("inf")}},
+        {"neighborhood": {"t_nb": float("nan")}},
+        {"train": {"epochs": 2, "learning_rate": 0.1, "dp": {}}},
     ])
     def test_bad_value_is_a_config_error_on_the_cli(self, doc, tmp_path):
         # All but the string attacks used to exit 2, some after the poison
-        # stage had run and left the run directory behind.
+        # stage had run and left the run directory behind. json.dumps writes
+        # a non-finite float as Infinity or NaN, which json.load accepts; a
+        # non-finite learning rate failed in the poison stage, a NaN t_nb
+        # admitted no candidate, and "dp": {} ran without DP.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -138,6 +147,12 @@ class TestConfig:
             "train": {"epochs": 2, "learning_rate": 0.1,
                       "dp": {"clip_norm": 5.0, "noise_multiplier": 0.5}}})
         assert cfg.train.dp.clip_norm == 5.0
+        train = {"epochs": 2, "learning_rate": 0.1}
+        assert hc.config_from_dict({"train": {**train, "dp": None}}).train.dp is None
+        # Falsy non-objects once meant "no DP" too.
+        for dp in (False, 0, [], {}):
+            with pytest.raises(hc.ConfigError, match="train.dp section"):
+                hc.config_from_dict({"train": {**train, "dp": dp}})
 
     def test_paper_scale(self):
         cfg = tiny_config().paper_scale()
@@ -759,6 +774,20 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and why in err, err
             assert not (tmp_path / "o").exists(), why
+
+    def test_csv_pool_smaller_than_challenge_count_writes_nothing(self, tmp_path, capsys):
+        # The pool's size is known only once the CSV is read; the check used
+        # to run after dataset.bin, dataset.json and cache/ were written.
+        csv_path = tmp_path / "four.csv"
+        csv_path.write_text("f0,label\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"kind": "csv", "csv_path": str(csv_path)},
+            "num_challenge_points": 10}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "more challenge points than pool points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -157,24 +157,24 @@ def exhaustive_mi_accuracy(scores_in, scores_out):
 
 class TestMiAccuracy:
     def test_perfect_separation(self):
-        assert mt.mi_accuracy([1, 1], [0, 0]) == 1.0
+        assert mt.compute_report([1, 1], [0, 0]).mi_accuracy == 1.0
 
     def test_identical_distributions(self):
-        assert mt.mi_accuracy([0.3, 0.7], [0.3, 0.7]) == 0.5
+        assert mt.compute_report([0.3, 0.7], [0.3, 0.7]).mi_accuracy == 0.5
 
     def test_matches_exhaustive_threshold_search(self):
         gen = np.random.default_rng(5)
         for _ in range(200):
             s_in = gen.integers(0, 7, size=gen.integers(1, 17)) / 6.0
             s_out = gen.integers(0, 7, size=gen.integers(1, 17)) / 6.0
-            assert mt.mi_accuracy(s_in, s_out) == pytest.approx(
+            assert mt.compute_report(s_in, s_out).mi_accuracy == pytest.approx(
                 exhaustive_mi_accuracy(s_in, s_out), abs=1e-12)
 
     def test_never_below_half(self):
         gen = np.random.default_rng(6)
         for _ in range(50):
             s_in, s_out = gen.random(10), gen.random(10)
-            assert mt.mi_accuracy(s_in, s_out) >= 0.5
+            assert mt.compute_report(s_in, s_out).mi_accuracy >= 0.5
 
 
 class TestReport:

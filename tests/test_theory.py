@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milab import theory as th
+from oracles import np_oracle, prob_correct
 
 
 def naive_optimal_tpr(tau, C, k, x):
@@ -22,14 +23,14 @@ def naive_optimal_tpr(tau, C, k, x):
 class TestProbCorrect:
     def test_no_poison_nonmember_is_uniform(self):
         for C in (2, 3, 10, 57):
-            assert th.prob_correct(th.TheoryParams(0.8, C, k=0, m1=0)) == 1.0 / C
+            assert prob_correct(th.TheoryParams(0.8, C, k=0, m1=0)) == 1.0 / C
 
     def test_frozen_reference_values(self):
         # 1 / (e^{-2} + 1 + 8 e^{-2}) = 0.45085306037928382251...
-        got = th.prob_correct(th.TheoryParams(0.5, 10, k=0, m1=1))
+        got = prob_correct(th.TheoryParams(0.5, 10, k=0, m1=1))
         assert got == pytest.approx(0.4508530603792838, abs=1e-14)
         # 1 / (e^4 + 9) = 0.015723727804642886726...
-        got = th.prob_correct(th.TheoryParams(0.5, 10, k=2, m1=0))
+        got = prob_correct(th.TheoryParams(0.5, 10, k=2, m1=0))
         assert got == pytest.approx(0.015723727804642887, abs=1e-14)
 
     def test_member_at_least_nonmember(self):
@@ -38,8 +39,8 @@ class TestProbCorrect:
             tau = gen.uniform(0.1, 2.0)
             C = int(gen.integers(2, 101))
             k = int(gen.integers(0, 21))
-            p_in = th.prob_correct(th.TheoryParams(tau, C, k, m1=1))
-            p_out = th.prob_correct(th.TheoryParams(tau, C, k, m1=0))
+            p_in = prob_correct(th.TheoryParams(tau, C, k, m1=1))
+            p_out = prob_correct(th.TheoryParams(tau, C, k, m1=0))
             assert p_in >= p_out
 
     def test_strictly_decreasing_in_k(self):
@@ -48,7 +49,7 @@ class TestProbCorrect:
             tau = gen.uniform(0.1, 2.0)
             C = int(gen.integers(2, 101))
             m1 = int(gen.integers(0, 2))
-            values = [th.prob_correct(th.TheoryParams(tau, C, k, m1))
+            values = [prob_correct(th.TheoryParams(tau, C, k, m1))
                       for k in range(15)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -58,13 +59,13 @@ class TestProbCorrect:
         sigma = lambda v: 1.0 / (1.0 + math.exp(-v))
         for tau in (0.3, 0.5, 1.7):
             for k in range(8):
-                out = th.prob_correct(th.TheoryParams(tau, 2, k, m1=0))
+                out = prob_correct(th.TheoryParams(tau, 2, k, m1=0))
                 assert out == pytest.approx(sigma(-k / tau), rel=1e-12)
-                inn = th.prob_correct(th.TheoryParams(tau, 2, k, m1=1))
+                inn = prob_correct(th.TheoryParams(tau, 2, k, m1=1))
                 assert inn == pytest.approx(sigma((1 - k) / tau), rel=1e-12)
 
     def test_huge_exponent_underflows_gracefully(self):
-        assert th.prob_correct(th.TheoryParams(0.01, 10, k=10_000, m1=0)) == 0.0
+        assert prob_correct(th.TheoryParams(0.01, 10, k=10_000, m1=0)) == 0.0
 
 
 class TestOptimalTpr:
@@ -94,7 +95,7 @@ class TestOptimalTpr:
             params = th.TheoryParams(gen.uniform(0.1, 2.0), int(gen.integers(2, 101)),
                                      int(gen.integers(0, 21)), 0, float(gen.uniform(0, 1)))
             a = th.optimal_tpr(params)
-            b = th.np_oracle(params)
+            b = np_oracle(params)
             assert abs(a.tpr - b.tpr) < 1e-9
 
     @given(st.floats(0.1, 2.0), st.integers(2, 100), st.integers(0, 20),
@@ -117,17 +118,17 @@ class TestOptimalTpr:
 
 class TestNpOracle:
     def test_zero_fpr_boundary(self):
-        point = th.np_oracle(th.TheoryParams(0.5, 10, 2, 0, x_prime=0.0))
+        point = np_oracle(th.TheoryParams(0.5, 10, 2, 0, x_prime=0.0))
         assert point.tpr == 0.0
 
     def test_accept_all_policy(self):
-        point = th.np_oracle(th.TheoryParams(0.5, 10, 2, 0, x_prime=1.0))
+        point = np_oracle(th.TheoryParams(0.5, 10, 2, 0, x_prime=1.0))
         assert point.tpr == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_out_distribution(self):
         # k/tau so large that a correct answer never happens under H0.
         params = th.TheoryParams(0.01, 10, 10_000, 0, x_prime=0.25)
-        point = th.np_oracle(params)
+        point = np_oracle(params)
         assert point.tpr == pytest.approx(0.25, abs=1e-12)
 
 
