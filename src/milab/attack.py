@@ -22,8 +22,9 @@ GAP = "gap"
 class LabelOnlyModel:
     """Label-only query facade over a trained model; counts every query.
 
-    Wraps anything exposing ``predict_proba_batch`` and surfaces only argmax
-    labels (ties resolved to the lowest class index).
+    Wraps anything exposing ``predict_label_batch`` (a ``ModelParams`` takes
+    the argmax of its logits, ties to the lowest class) and surfaces only
+    those labels, one batch per call.
     """
 
     def __init__(self, model):
@@ -33,7 +34,7 @@ class LabelOnlyModel:
     def predict_label_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         self.query_count += X.shape[0]
-        return np.argmax(self._model.predict_proba_batch(X), axis=1)
+        return self._model.predict_label_batch(X)
 
 
 def chameleon_score(target, X: np.ndarray, y: np.ndarray,

@@ -25,7 +25,7 @@ from ..datagen import Dataset
 logger = logging.getLogger(__name__)
 
 # Manifest format of a KL entry, and the version tag of its key.
-KL_FORMAT = "milab-kl-v1"
+KL_FORMAT = "milab-kl-v2"
 
 
 def canonical_json(obj) -> str:
@@ -86,13 +86,20 @@ def kl_key(x: np.ndarray, y: int, candidates: np.ndarray,
     return h.hexdigest()
 
 
-def _load_kl(stem: str, pool_size: int) -> np.ndarray:
-    """Raises ValueError, as ``reshape`` does for a blob of the wrong size,
-    when the manifest names another shape."""
+def _load_kl(stem: str, pool_size: int) -> tuple[np.ndarray, str]:
+    """The fit and its printed rows. Raises ValueError when the manifest
+    names another shape, as ``reshape`` does for too few floats, or when the
+    text after them is not ``pool_size`` newline-terminated ASCII rows."""
     blob, manifest = nncore.load_entry(stem, KL_FORMAT)
     if manifest.get("shape") != [2, pool_size]:
         raise ValueError(f"{stem}.json does not name a [2, {pool_size}] array")
-    return np.frombuffer(blob, dtype="<f8").reshape(2, pool_size)
+    split = 2 * pool_size * 8
+    # The slice is a copy, so the fit does not keep the text's bytes alive.
+    kl = np.frombuffer(blob[:split], dtype="<f8").reshape(2, pool_size)
+    text = blob[split:].decode("ascii")
+    if text.count("\n") != pool_size or not text.endswith("\n"):
+        raise ValueError(f"{stem}.bin does not hold {pool_size} printed rows")
+    return kl, text
 
 
 @dataclass
@@ -153,14 +160,19 @@ class ModelCache:
         nncore.save_model(model, os.path.join(self.root, "models", key), seed=cfg.seed,
                           config_hash=digest(train_config_dict(cfg)))
 
-    def get_kl(self, key: str, pool_size: int) -> np.ndarray | None:
-        """The cached, read-only [2, pool_size] (kl_in, kl_out) fit, or None;
-        it equals a fresh fit bit for bit."""
+    def get_kl(self, key: str, pool_size: int) -> tuple[np.ndarray, str] | None:
+        """The cached fit, a read-only [2, pool_size] (kl_in, kl_out) array
+        equal to a fresh fit bit for bit, and its printed rows as
+        ``put_kl`` took them; or None."""
         return self._lookup("neighborhoods", key, self.kl_counts,
                             lambda stem: _load_kl(stem, pool_size))
 
-    def put_kl(self, key: str, kl: np.ndarray) -> None:
-        """Store a fit as little-endian float64, kl_in row first."""
+    def put_kl(self, key: str, kl: np.ndarray, text: str) -> None:
+        """Store a fit as little-endian float64, kl_in row first, followed
+        by ``text``, its ASCII printed rows (``neighborhood.kl_text``)."""
         nncore.save_entry(os.path.join(self.root, "neighborhoods", key),
-                          np.ascontiguousarray(kl, dtype="<f8").tobytes(),
-                          {"format": KL_FORMAT, "shape": list(kl.shape), "dtype": "<f8"})
+                          np.ascontiguousarray(kl, dtype="<f8").tobytes()
+                          + text.encode("ascii"),
+                          {"format": KL_FORMAT, "shape": list(kl.shape), "dtype": "<f8",
+                           "layout": "kl_in row, kl_out row, then one ASCII line "
+                                     "repr(kl_in),repr(kl_out) per pool row"})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .. import datagen
@@ -125,8 +126,12 @@ class ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    """A finite int or float, not a bool: "2.5", Infinity or NaN fails mid-game."""
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    """A finite int or float, not a bool: "2.5", Infinity, NaN or an int too
+    large for a float fails mid-game. Comparing an int with a float is
+    exact, so an int passes only if it converts to a finite float."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 # Field annotation -> check of a JSON value and what the check asks for.

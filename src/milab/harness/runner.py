@@ -27,7 +27,7 @@ from ..attack import (CHAMELEON, LabelOnlyModel, chameleon_score, gap_score,
 from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        gen_neighbors, load_csv_dataset, make_split_plan,
                        save_dataset)
-from ..neighborhood import (NeighborhoodSet, export_diagnostics_csv, fit_kl,
+from ..neighborhood import (DIAGNOSTICS_HEADER, diagnostics_rows, fit_kl, kl_text,
                             select_neighborhood)
 from ..poisoner import (ChallengeSet, PoisonConfig, PoisonPlan,
                         adapt_poison_single, adapt_poison_multi,
@@ -48,6 +48,9 @@ TAG_TARGET_SPLIT = 6
 TAG_TARGET_MODEL = 7
 TAG_STRICT = 8
 TAG_STRICT_IN = 9
+
+# Row cap of one label query batch in the scores stage.
+LABEL_BATCH_ROWS = 650
 
 # Run-manifest artifact name -> file in the run directory.
 ARTIFACTS = {
@@ -273,35 +276,46 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
 
 def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
                          in_models, out_models, cache: ModelCache,
-                         path: str) -> list[NeighborhoodSet]:
+                         path: str) -> np.ndarray:
     """Candidate pools plus KL selection, one per point position, from that
     point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``.
+    Returns the neighbors as one [points, size, dim] array; each point's
+    diagnostics rows go to ``path`` as it is selected, so neither its
+    selection record nor its printed rows outlive its turn.
 
-    A point's KL fit comes from the cache when its point, pool and models
-    match a stored one; otherwise it is fitted and stored."""
+    A point's KL fit and its printed rows come from the cache when its
+    point, pool and models match a stored one; otherwise the fit is made,
+    printed once and stored."""
     modality = cfg.dataset.modality
     noise = cfg.neighborhood.resolved_noise_scale(modality)
     # Each distinct model is digested once; every one stays alive (and so
     # keeps its id) through the stage.
     distinct = {id(m): m for models in (*in_models, *out_models) for m in models}
     digests = {ident: params_digest(m) for ident, m in distinct.items()}
-    selected = []
-    for pos in range(len(challenges)):
-        x, y = challenges.features[pos], int(challenges.labels[pos])
-        cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
-                              derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
-        # Round to float32 like the pool's features, in one cast per pool.
-        cands = cands.astype(np.float32).astype(np.float64)
-        key = kl_key(x, y, cands, [digests[id(m)] for m in in_models[pos]],
-                     [digests[id(m)] for m in out_models[pos]])
-        kl = cache.get_kl(key, len(cands))
-        if kl is None:
-            kl = fit_kl((x, y), cands, in_models[pos], out_models[pos])
-            cache.put_kl(key, kl)
-        selected.append(select_neighborhood(kl, cands, t_nb=cfg.neighborhood.t_nb,
-                                            n=cfg.neighborhood.size))
-    export_diagnostics_csv(path, challenges.indices, selected)
-    return selected
+    members = np.empty((len(challenges), cfg.neighborhood.size,
+                        challenges.features.shape[1]))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(DIAGNOSTICS_HEADER)
+        for pos, index in enumerate(challenges.indices.tolist()):
+            x, y = challenges.features[pos], int(challenges.labels[pos])
+            cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
+                                  derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
+            # Round to float32 like the pool's features, in one cast per pool.
+            cands = cands.astype(np.float32).astype(np.float64)
+            key = kl_key(x, y, cands, [digests[id(m)] for m in in_models[pos]],
+                         [digests[id(m)] for m in out_models[pos]])
+            cached = cache.get_kl(key, len(cands))
+            if cached is None:
+                kl = fit_kl((x, y), cands, in_models[pos], out_models[pos])
+                text = kl_text(kl)
+                cache.put_kl(key, kl, text)
+            else:
+                kl, text = cached
+            chosen = select_neighborhood(kl, cands, t_nb=cfg.neighborhood.t_nb,
+                                         n=cfg.neighborhood.size)
+            f.write(diagnostics_rows(index, text, chosen))
+            members[pos] = chosen.features
+    return members
 
 
 def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
@@ -341,25 +355,24 @@ def _write_model_stats(path: str, targets, train_sets, eval_ds: Dataset) -> dict
             "mean_eval_accuracy": float(np.mean(eval_accs))}
 
 
-def _score(cfg: ExperimentConfig, challenges: ChallengeSet,
-           neighborhoods: list[NeighborhoodSet],
+def _score(cfg: ExperimentConfig, challenges: ChallengeSet, members: np.ndarray,
            targets) -> tuple[dict[str, np.ndarray], int]:
     """Per attack, the [target, point] matrix of label-only scores, and the
-    number of label queries they took.
+    number of label queries they took; ``members[p]`` holds the neighbors
+    of point p.
 
     Each target answers one label query batch per run of consecutive points:
-    ``(pool_size + 1) // (size + 1)`` points for chameleon, which queries each
-    point with its ``size`` neighbors, and ``pool_size + 1`` for gap. So a
-    batch holds at most ``pool_size + 1`` rows, the batch size the
-    neighborhood stage already runs. The neighbors are stacked once per game
-    into one [points, size, dim] array, a second copy of them."""
+    ``LABEL_BATCH_ROWS // (size + 1)`` points (at least one) for chameleon,
+    which queries each point with its ``size`` neighbors, and
+    ``LABEL_BATCH_ROWS`` for gap. The cap is a constant, so a game's batch
+    shapes, and with them the bits of its labels, depend on its config
+    alone."""
     X, y = challenges.features, challenges.labels
-    members = np.stack([nb.features for nb in neighborhoods])
-    cap = cfg.neighborhood.pool_size + 1
     scores: dict[str, np.ndarray] = {}
     total_queries = 0
     for attack in cfg.attacks:
-        run = cap // (cfg.neighborhood.size + 1) if attack == CHAMELEON else cap
+        run = (max(1, LABEL_BATCH_ROWS // (cfg.neighborhood.size + 1))
+               if attack == CHAMELEON else LABEL_BATCH_ROWS)
         matrix = scores[attack] = np.empty((len(targets), len(X)))
         for j, model in enumerate(targets):
             facade = LabelOnlyModel(model)
@@ -433,15 +446,15 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         model_refs = [f"models/{key}" for key in trainer.keys]
         save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs)
     with _stage("neighborhood", stage_seconds):
-        neighborhoods = _build_neighborhoods(cfg, challenges, in_models, out_models,
-                                             cache, artifacts["neighborhoods"])
+        members = _build_neighborhoods(cfg, challenges, in_models, out_models,
+                                       cache, artifacts["neighborhoods"])
     with _stage("targets", stage_seconds):
         target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
                                                            plan, trainer)
         model_stats = _write_model_stats(artifacts["model_stats"], targets,
                                          train_sets, eval_ds)
     with _stage("scores", stage_seconds):
-        scores, total_queries = _score(cfg, challenges, neighborhoods, targets)
+        scores, total_queries = _score(cfg, challenges, members, targets)
         truth = target_split[:, challenges.indices]
         write_scores_csv(artifacts["scores"], scores, truth, challenges.indices)
     with _stage("metrics", stage_seconds):

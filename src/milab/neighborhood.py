@@ -152,21 +152,28 @@ def select_neighborhood(kl: np.ndarray, candidates: np.ndarray, t_nb: float,
     )
 
 
-def export_diagnostics_csv(path: str, indices: np.ndarray,
-                           per_point: list[NeighborhoodSet]) -> None:
-    """Per-candidate selection record for ablation plots.
+# The header of ``neighborhood_diagnostics.csv``; ``diagnostics_rows`` writes
+# each point's rows under it.
+DIAGNOSTICS_HEADER = "challenge_index,candidate,kl_in,kl_out,admitted,selected\r\n"
 
-    ``per_point[p]`` is the selection of the point whose pool index is
-    ``indices[p]``, the ``challenge_index`` of its rows as in ``scores.csv``;
-    a row's ``candidate`` is its row in the point's seeded candidate pool.
 
-    Each point's rows are written as one string in ``csv.writer``'s default
-    dialect: no field holds a comma, quote or line break, so none is quoted,
-    and each row ends in its "\\r\\n" terminator."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("challenge_index,candidate,kl_in,kl_out,admitted,selected\r\n")
-        for index, chosen in zip(indices.tolist(), per_point, strict=True):
-            kl_in, kl_out = (list(map(repr, row)) for row in chosen.kl.tolist())
-            rows = zip(kl_in, kl_out, chosen.admitted.tolist(), chosen.selected.tolist())
-            f.write("".join(["%d,%d,%s,%s,%d,%d\r\n" % (index, j, *row)
-                             for j, row in enumerate(rows)]))
+def kl_text(kl: np.ndarray) -> str:
+    """The printed form of a ``fit_kl`` array [2, pool_size]: one line
+    "repr(kl_in),repr(kl_out)\\n" per pool row, in row order. The cache
+    stores it beside the floats, so a cached fit is printed only once."""
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(*kl.tolist())])
+
+
+def diagnostics_rows(index: int, text: str, chosen: NeighborhoodSet) -> str:
+    """The rows of ``neighborhood_diagnostics.csv`` for one point's pool.
+
+    ``index`` is the point's pool index, the ``challenge_index`` of its rows
+    as in ``scores.csv``; a row's ``candidate`` is its row in the point's
+    seeded candidate pool. ``text`` is ``kl_text(chosen.kl)``, fresh or from
+    the cache, so no float is printed here.
+
+    The rows are in ``csv.writer``'s default dialect: no field holds a comma,
+    quote or line break, so none is quoted, and each row ends in its "\\r\\n"
+    terminator."""
+    rows = zip(text.split("\n"), chosen.admitted.tolist(), chosen.selected.tolist())
+    return "".join(["%d,%d,%s,%d,%d\r\n" % (index, j, *row) for j, row in enumerate(rows)])

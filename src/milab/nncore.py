@@ -104,6 +104,14 @@ class ModelParams:
     def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
         return forward(self.as_float64(), np.asarray(X, dtype=np.float64))
 
+    def predict_label_batch(self, X: np.ndarray) -> np.ndarray:
+        """Labels of the rows of ``X`` [n, d], run as one batch: the argmax
+        of the logits, ties to the lowest class. It skips the softmax, which
+        is monotone in each row, so it can differ from the argmax of
+        ``predict_proba_batch`` only where the softmax rounds two distinct
+        logits to one value."""
+        return np.argmax(logits(self.as_float64(), np.asarray(X, dtype=np.float64)), axis=1)
+
 
 def init_params(input_dim: int, hidden_sizes: tuple[int, ...], num_classes: int,
                 seed: int) -> ModelParams:
@@ -155,8 +163,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_acts(layers: LayerList, X: np.ndarray):
-    """Each layer's input, the softmax output and its row sums, each in its
-    own buffer (the hidden ones computed in place)."""
+    """Each layer's input and the output layer's logits, each in its own
+    buffer (the hidden ones computed in place)."""
     acts = [X]
     h = X
     for w, b in layers[:-1]:
@@ -167,16 +175,25 @@ def _forward_acts(layers: LayerList, X: np.ndarray):
     w, b = layers[-1]
     z = h @ w.T
     z += b
-    return acts, z, _softmax(z)
+    return acts, z
 
 
-def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
-    """Forward pass to softmax probabilities over the last axis of ``X``
-    (rows ``[n, d]``, or stacks of them); dtype follows the inputs."""
+def logits(layers: LayerList, X: np.ndarray) -> np.ndarray:
+    """Output-layer logits over the last axis of ``X`` (rows ``[n, d]``, or
+    stacks of them), in a fresh buffer; dtype follows the inputs."""
     if X.shape[-1] != layers[0][0].shape[1]:
         raise ValueError(
             f"input dim {X.shape[-1]} does not match model dim {layers[0][0].shape[1]}")
     return _forward_acts(layers, X)[1]
+
+
+def forward(layers: LayerList, X: np.ndarray) -> np.ndarray:
+    """Softmax probabilities over the last axis of ``X``: the ``logits``,
+    then ``_softmax`` in place. A label needs only the logits' argmax (see
+    ``ModelParams.predict_label_batch``)."""
+    z = logits(layers, X)
+    _softmax(z)
+    return z
 
 
 def _forward_backward(layers: LayerList, X: np.ndarray, Y: np.ndarray):
@@ -190,7 +207,8 @@ def _forward_backward(layers: LayerList, X: np.ndarray, Y: np.ndarray):
     ``row_sums`` the softmax's, whose sum is finite exactly when the loss is.
     The output delta is the softmax buffer itself.
     """
-    acts, d, row_sums = _forward_acts(layers, X)
+    acts, d = _forward_acts(layers, X)
+    row_sums = _softmax(d)
     d -= Y  # x - 0.0 == x, so only the label entries change
     deltas = [d]
     for l in range(len(layers) - 1, 0, -1):
@@ -318,9 +336,9 @@ def train(dataset, config: TrainConfig, hidden_sizes: tuple[int, ...]) -> ModelP
 
 
 def accuracy(model: ModelParams, dataset) -> float:
-    """Fraction of the dataset whose argmax label is its true label."""
-    labels = np.argmax(model.predict_proba_batch(dataset.features), axis=1)
-    return float(np.mean(labels == dataset.labels))
+    """Fraction of the dataset whose label, from one
+    ``predict_label_batch`` over its features, is its true label."""
+    return float(np.mean(model.predict_label_batch(dataset.features) == dataset.labels))
 
 
 def logit(p):

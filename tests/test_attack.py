@@ -9,19 +9,14 @@ from milab.datagen import gen_gaussian_mixture
 
 
 class LabelTableModel:
-    """Stub probabilistic model with a fixed label per feature vector."""
+    """Stub model with a fixed label per feature vector."""
 
-    def __init__(self, labels_by_key, num_classes=4, default=0):
+    def __init__(self, labels_by_key, default=0):
         self.labels_by_key = labels_by_key
-        self.num_classes = num_classes
         self.default = default
 
-    def predict_proba_batch(self, X):
-        out = np.zeros((X.shape[0], self.num_classes))
-        for i, row in enumerate(X):
-            label = self.labels_by_key.get(row.tobytes(), self.default)
-            out[i, label] = 1.0
-        return out
+    def predict_label_batch(self, X):
+        return np.array([self.labels_by_key.get(row.tobytes(), self.default) for row in X])
 
 
 def key(x):
@@ -79,9 +74,9 @@ class TestMisclassificationScore:
         batches = []
 
         class CountingModel(LabelTableModel):
-            def predict_proba_batch(self, X):
+            def predict_label_batch(self, X):
                 batches.append(len(X))
-                return super().predict_proba_batch(X)
+                return super().predict_label_batch(X)
 
         X = np.stack([self.x, other_x])
         y = np.array([self.y, self.y])

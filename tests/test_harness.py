@@ -20,6 +20,7 @@ from milab.harness import cache as hcache
 from milab.harness import cli
 from milab.harness import config as hc
 from milab.harness import runner as hr
+from milab.neighborhood import kl_text
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 
@@ -129,13 +130,15 @@ class TestConfig:
         {"train": {"epochs": 2, "learning_rate": float("inf")}},
         {"neighborhood": {"t_nb": float("nan")}},
         {"train": {"epochs": 2, "learning_rate": 0.1, "dp": {}}},
+        {"dataset": {"class_sep": 10**400}},
     ])
     def test_bad_value_is_a_config_error_on_the_cli(self, doc, tmp_path):
         # All but the string attacks used to exit 2, some after the poison
         # stage had run and left the run directory behind. json.dumps writes
         # a non-finite float as Infinity or NaN, which json.load accepts; a
         # non-finite learning rate failed in the poison stage, a NaN t_nb
-        # admitted no candidate, and "dp": {} ran without DP.
+        # admitted no candidate, "dp": {} ran without DP, and an integer
+        # too large for a float failed the dataset stage.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -349,18 +352,33 @@ class TestKlCache:
         manifest = blob.with_suffix(".json")
         good_blob, good_manifest = blob.read_bytes(), manifest.read_text()
         shape = json.loads(good_manifest)["shape"]
+        floats, text = good_blob[:8 * shape[0] * shape[1]], good_blob[8 * shape[0] * shape[1]:]
+        rows = text.split(b"\n")  # the last item is the empty rest
+
+        def with_checksum(data):
+            """Write ``data`` with a manifest whose checksum matches it."""
+            blob.write_bytes(data)
+            manifest.write_text(json.dumps({**json.loads(good_manifest),
+                                            "sha256": hashlib.sha256(data).hexdigest()}))
+
         damages = {
             "truncated blob": lambda: blob.write_bytes(good_blob[:100]),
             # Negating every float keeps the size; only the checksum can tell.
-            "same-size blob": lambda: (-np.frombuffer(good_blob, "<f8")).tofile(blob),
+            "same-size floats": lambda: blob.write_bytes(
+                (-np.frombuffer(floats, "<f8")).tobytes() + text),
+            # So does swapping the first and last printed rows.
+            "same-size text": lambda: blob.write_bytes(
+                floats + b"\n".join([rows[-2], *rows[1:-2], rows[0], b""])),
             "non-object manifest": lambda: manifest.write_text("[]"),
             "unreadable manifest": lambda: manifest.write_text("{"),
             "wrong shape": lambda: manifest.write_text(json.dumps(
                 {**json.loads(good_manifest), "shape": [shape[1], 2]})),
-            # A blob one row short whose manifest checksum matches it.
-            "short blob": lambda: (blob.write_bytes(good_blob[:-16]), manifest.write_text(
-                json.dumps({**json.loads(good_manifest),
-                            "sha256": hashlib.sha256(good_blob[:-16]).hexdigest()}))),
+            # A blob one printed row short, then one cut inside its last row,
+            # each with a manifest checksum that matches it.
+            "short text": lambda: with_checksum(
+                floats + text[:text.rindex(b"\n", 0, -1) + 1]),
+            "short blob": lambda: with_checksum(good_blob[:-16]),
+            "non-ascii text": lambda: with_checksum(floats + b"\xff" + text[1:]),
         }
         for name, damage in damages.items():
             damage()
@@ -401,9 +419,9 @@ class TestKlCache:
         assert len({base, *others}) == 5
         cache = hcache.ModelCache(str(tmp_path))
         kl = gen.uniform(size=(2, 5))
-        cache.put_kl(base, kl)
+        cache.put_kl(base, kl, kl_text(kl))
         assert all(cache.get_kl(key, 5) is None for key in others)
-        assert cache.get_kl(base, 5).tobytes() == kl.tobytes()
+        assert cache.get_kl(base, 5)[0].tobytes() == kl.tobytes()
         assert (cache.kl_counts.hits, cache.kl_counts.misses) == (1, len(others))
 
     def test_params_digest_reads_every_parameter(self):
@@ -580,30 +598,67 @@ class TestPrivacyGame:
         assert abs(result.reports["chameleon"].auc - 0.5) < 0.17
 
 
+def expected_batches(cfg: hc.ExperimentConfig, cap: int) -> list[int]:
+    """The label batch sizes of a game, in query order, when a batch holds
+    at most ``cap`` rows but always at least one point."""
+    size, points = cfg.neighborhood.size, cfg.num_challenge_points
+    batches = []
+    for attack in cfg.attacks:
+        rows = size + 1 if attack == CHAMELEON else 1
+        run = max(1, cap // rows)
+        batches += [min(run, points - start) * rows
+                    for start in range(0, points, run)] * cfg.num_target_models
+    return batches
+
+
+def recorded_batches(monkeypatch) -> list[int]:
+    """The row count of every label batch the facade answers from now on."""
+    batches: list[int] = []
+    query = LabelOnlyModel.predict_label_batch
+
+    def recording(self, X):
+        batches.append(len(X))
+        return query(self, X)
+
+    monkeypatch.setattr(LabelOnlyModel, "predict_label_batch", recording)
+    return batches
+
+
 class TestScoring:
     def test_fixed_size_batches_and_empty_neighborhood(self, tmp_path, monkeypatch):
-        batches: list[int] = []
-        query = LabelOnlyModel.predict_label_batch
-
-        def recording(self, X):
-            batches.append(len(X))
-            return query(self, X)
-
-        monkeypatch.setattr(LabelOnlyModel, "predict_label_batch", recording)
+        batches = recorded_batches(monkeypatch)
         cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=1, pool_size=2),
                           num_challenge_points=5)
         cache = str(tmp_path / "cache")
         result = hr.run_privacy_game(cfg, str(tmp_path / "one"), cache_dir=cache)
-        # A batch holds at most pool_size + 1 = 3 rows: one point and its
-        # neighbor for chameleon, runs of 3 points for gap.
-        assert max(batches) <= cfg.neighborhood.pool_size + 1
-        assert batches == [2] * 5 * 4 + [3, 2] * 4
+        assert max(batches) <= hr.LABEL_BATCH_ROWS
+        assert batches == expected_batches(cfg, hr.LABEL_BATCH_ROWS)
         assert sum(batches) == result.cost.total_label_queries
+
+        # A 3-row cap splits the points into runs: one point and its
+        # neighbor per chameleon batch, runs of 3 points for gap.
+        batches.clear()
+        monkeypatch.setattr(hr, "LABEL_BATCH_ROWS", 3)
+        capped = hr.run_privacy_game(cfg, str(tmp_path / "capped"), cache_dir=cache)
+        assert batches == expected_batches(cfg, 3) == [2] * 5 * 4 + [3, 2] * 4
+        for attack, matrix in result.scores.items():
+            assert np.array_equal(capped.scores[attack], matrix), attack
 
         # With no neighbors, chameleon scores the point alone, as gap does.
         empty = replace(cfg, neighborhood=replace(cfg.neighborhood, size=0))
         result = hr.run_privacy_game(empty, str(tmp_path / "zero"), cache_dir=cache)
         assert np.array_equal(result.scores[CHAMELEON], result.scores[GAP])
+
+    def test_a_neighbourhood_wider_than_the_cap_is_one_point_per_batch(
+            self, tmp_path, monkeypatch):
+        batches = recorded_batches(monkeypatch)
+        wide = hr.LABEL_BATCH_ROWS
+        cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=wide, pool_size=wide))
+        result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
+        points, targets = cfg.num_challenge_points, cfg.num_target_models
+        assert batches == expected_batches(cfg, wide)
+        assert batches == [wide + 1] * points * targets + [points] * targets
+        assert sum(batches) == result.cost.total_label_queries
 
 
 class TestBinaryModality:

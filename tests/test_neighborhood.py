@@ -1,5 +1,6 @@
 import csv
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -311,22 +312,44 @@ class TestCachedFit:
         fresh = nb.fit_kl(challenge, cands, mi, mo)
         assert fresh.shape == (2, len(cands)) and fresh.dtype == np.float64
         cache = ModelCache(str(tmp_path))
-        cache.put_kl("k", fresh)
-        cached = cache.get_kl("k", len(cands))
+        cache.put_kl("k", fresh, nb.kl_text(fresh))
+        cached, text = cache.get_kl("k", len(cands))
         assert bits(cached.ravel()) == bits(fresh.ravel())
+        assert text == nb.kl_text(fresh)
         a = nb.select_neighborhood(fresh, cands, t_nb=1.0, n=3)
         b = nb.select_neighborhood(cached, cands, t_nb=1.0, n=3)
         assert a.fallback_filled == b.fallback_filled and a.diagnostics == b.diagnostics
         assert np.array_equal(a.features, b.features)
 
+    @given(st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_entry_round_trip_keeps_floats_and_their_reprs(self, pairs):
+        # A hit parses no float: its floats come back as stored bytes, and
+        # its rows are the repr of exactly those floats.
+        kl = np.array(pairs, dtype=np.float64).T.copy()
+        with tempfile.TemporaryDirectory() as root:
+            cache = ModelCache(root)
+            cache.put_kl("k", kl, nb.kl_text(kl))
+            cached, text = cache.get_kl("k", kl.shape[1])
+        assert bits(cached.ravel()) == bits(kl.ravel())
+        assert not cached.flags.writeable
+        assert text.split("\n")[:-1] == [f"{a!r},{b!r}" for a, b in cached.T.tolist()]
+        assert (cache.kl_counts.hits, cache.kl_counts.corrupt) == (1, 0)
+
+
+def diagnostics_csv(indices, per_point) -> str:
+    """The diagnostics file of the points at ``indices``, printed fresh."""
+    return nb.DIAGNOSTICS_HEADER + "".join(
+        nb.diagnostics_rows(index, nb.kl_text(chosen.kl), chosen)
+        for index, chosen in zip(indices.tolist(), per_point, strict=True))
+
 
 class TestExport:
-    def test_diagnostics_csv(self, tmp_path):
+    def test_diagnostics_csv(self):
         challenge, cands, mi, mo = build_selection_setup([0.0, 2.0], [0.0, 2.0])
         result = select(challenge, cands, mi, mo, t_nb=0.75, n=1)
-        path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), np.array([17]), [result])
-        lines = path.read_text().strip().splitlines()
+        lines = diagnostics_csv(np.array([17]), [result]).splitlines()
         assert lines[0] == "challenge_index,candidate,kl_in,kl_out,admitted,selected"
         assert len(lines) == 3
         # Each row names its point by pool index and its candidate by pool row.
@@ -342,7 +365,8 @@ class TestExport:
                                         rows < 3, np.zeros((3, 2)))
                      for _ in indices]
         path = tmp_path / "diag.csv"
-        nb.export_diagnostics_csv(str(path), indices, per_point)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(diagnostics_csv(indices, per_point))
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", encoding="utf-8", newline="") as f:

@@ -223,6 +223,21 @@ class TestPredict:
             assert abs(probs.sum() - 1.0) < 1e-9
             assert labels(model, x[None, :]) == [int(np.argmax(probs))]
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           hidden=st.lists(st.integers(1, 12), max_size=2),
+           dim=st.integers(1, 8), classes=st.integers(2, 6), rows=st.integers(0, 40),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 100.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_labels_are_the_argmax_of_the_confidences(self, seed, hidden, dim, classes,
+                                                      rows, scale):
+        # Labels skip the softmax; a zero input makes every logit a zero
+        # bias, so every class ties and both sides pick class 0.
+        model = nn.init_params(dim, tuple(hidden), classes, seed=seed)
+        X = np.random.default_rng(seed).normal(0, scale, (rows, dim))
+        got = model.predict_label_batch(X)
+        assert got.shape == (rows,)
+        assert np.array_equal(got, np.argmax(model.predict_proba_batch(X), axis=1))
+
     @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
     def test_stack_has_the_bits_of_one_row_calls(self, hidden):
         # The poison probe stacks its points; each row must keep the bits of
