@@ -116,13 +116,20 @@ def make_split_plan(n_points: int, challenge_indices, num_models: int,
     return inclusion
 
 
+# Rows one candidate pool may draw, per candidate, before ``gen_neighbors``
+# gives up on a noise_scale too small to move the point.
+NEIGHBOR_DRAWS_PER_ROW = 1000
+
+
 def gen_neighbors(x: np.ndarray, modality: str, count: int,
                   noise_scale: float, seed: int) -> np.ndarray:
     """Candidate neighbors of x, one per row of a [count, dim] matrix.
 
     Continuous modality adds isotropic Gaussian jitter with std noise_scale;
     binary flips each bit independently with probability noise_scale.  Any
-    candidate exactly equal to x is rejected and resampled.
+    candidate exactly equal to x is rejected and resampled; raises
+    ValueError when the pool would draw more than
+    ``NEIGHBOR_DRAWS_PER_ROW * count`` rows.
     """
     if count < 1 or not noise_scale > 0:
         raise ValueError("count must be >= 1 and noise_scale > 0")
@@ -131,8 +138,13 @@ def gen_neighbors(x: np.ndarray, modality: str, count: int,
     x = np.asarray(x, dtype=np.float64)
     gen = make_rng(seed)
     kept: list[np.ndarray] = []
-    todo = count
+    todo, budget = count, NEIGHBOR_DRAWS_PER_ROW * count
     while todo:
+        if todo > budget:
+            raise ValueError(f"noise_scale {noise_scale!r} is too small to move the "
+                             f"point: {count} candidates took over "
+                             f"{NEIGHBOR_DRAWS_PER_ROW * count} draws")
+        budget -= todo
         if modality == CONTINUOUS:
             cands = x + noise_scale * gen.standard_normal((todo, x.size))
         else:

@@ -4,9 +4,16 @@ KL fits.
 Cache keys are sha256 digests of everything the artifact depends on: for a
 model, a canonical-JSON description of its training-set content hash,
 training config, architecture and seed; for a point's KL fit, the point, its
-candidate pool and the parameters of its IN and OUT shadow models.  So
-ablations recompute only what actually changed, and a re-run with an intact
-cache reproduces its outputs byte for byte.
+label, the recipe of its candidate pool (modality, pool size, noise scale and
+seed) and the parameters of its IN and OUT shadow models.  So ablations
+recompute only what actually changed, and a re-run with an intact cache
+reproduces its outputs byte for byte.
+
+A KL entry stores the pool it was fitted on, and its key names the pool's
+recipe, not the pool's bytes, so a warm game generates no candidates.  The
+key therefore cannot see a change to how a recipe becomes a pool or a fit:
+any change to ``datagen.gen_neighbors``, to the runner's float32 rounding of
+the pool or to ``neighborhood.fit_kl`` must bump ``KL_FORMAT``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from ..datagen import Dataset
 logger = logging.getLogger(__name__)
 
 # Manifest format of a KL entry, and the version tag of its key.
-KL_FORMAT = "milab-kl-v2"
+KL_FORMAT = "milab-kl-v3"
 
 
 def canonical_json(obj) -> str:
@@ -73,33 +80,41 @@ def params_digest(model: nncore.ModelParams) -> str:
     return h.hexdigest()
 
 
-def kl_key(x: np.ndarray, y: int, candidates: np.ndarray,
+def kl_key(x: np.ndarray, y: int, recipe: dict,
            in_digests: list[str], out_digests: list[str]) -> str:
-    """Key of the KL fit of the point (x, y) against its candidate pool,
+    """Key of the KL fit of the point (x, y) against the candidate pool that
+    ``recipe`` (its modality, pool_size, noise_scale and seed) generates,
     from the ``params_digest`` of its IN models, then of its OUT models, in
     the order the fit sums over them."""
     h = hashlib.sha256(canonical_json({
-        "format": KL_FORMAT, "label": int(y), "pool_shape": list(candidates.shape),
+        "format": KL_FORMAT, "label": int(y), "pool": recipe,
         "in": in_digests, "out": out_digests}).encode("utf-8"))
     h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(candidates, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
-def _load_kl(stem: str, pool_size: int) -> tuple[np.ndarray, str]:
-    """The fit and its printed rows. Raises ValueError when the manifest
-    names another shape, as ``reshape`` does for too few floats, or when the
-    text after them is not ``pool_size`` newline-terminated ASCII rows."""
+def _load_kl(stem: str, pool_size: int, dim: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The fit, its pool and its printed rows. Raises ValueError when the
+    manifest names another shape or dim, when the blob's sections do not
+    have the byte lengths that the manifest and the shape give them, or when
+    the rows are not ``pool_size`` newline-terminated ASCII lines."""
     blob, manifest = nncore.load_entry(stem, KL_FORMAT)
-    if manifest.get("shape") != [2, pool_size]:
-        raise ValueError(f"{stem}.json does not name a [2, {pool_size}] array")
-    split = 2 * pool_size * 8
-    # The slice is a copy, so the fit does not keep the text's bytes alive.
-    kl = np.frombuffer(blob[:split], dtype="<f8").reshape(2, pool_size)
-    text = blob[split:].decode("ascii")
+    if manifest.get("shape") != [2, pool_size] or manifest.get("dim") != dim:
+        raise ValueError(f"{stem}.json does not name a [2, {pool_size}] fit "
+                         f"of a {dim}-feature pool")
+    fit_bytes, pool_bytes = 2 * pool_size * 8, pool_size * dim * 4
+    text_bytes = manifest.get("text_bytes")
+    if not isinstance(text_bytes, int) or len(blob) != fit_bytes + pool_bytes + text_bytes:
+        raise ValueError(f"{stem}.bin does not hold sections of {fit_bytes}, "
+                         f"{pool_bytes} and {text_bytes} bytes")
+    # The fit's slice is a copy and the pool a cast, so neither array keeps
+    # the blob alive.
+    kl = np.frombuffer(blob[:fit_bytes], dtype="<f8").reshape(2, pool_size)
+    pool = np.frombuffer(blob, dtype="<f4", count=pool_size * dim, offset=fit_bytes)
+    text = blob[fit_bytes + pool_bytes:].decode("ascii")
     if text.count("\n") != pool_size or not text.endswith("\n"):
         raise ValueError(f"{stem}.bin does not hold {pool_size} printed rows")
-    return kl, text
+    return kl, pool.reshape(pool_size, dim).astype(np.float64), text
 
 
 @dataclass
@@ -160,19 +175,27 @@ class ModelCache:
         nncore.save_model(model, os.path.join(self.root, "models", key), seed=cfg.seed,
                           config_hash=digest(train_config_dict(cfg)))
 
-    def get_kl(self, key: str, pool_size: int) -> tuple[np.ndarray, str] | None:
+    def get_kl(self, key: str, pool_size: int,
+               dim: int) -> tuple[np.ndarray, np.ndarray, str] | None:
         """The cached fit, a read-only [2, pool_size] (kl_in, kl_out) array
-        equal to a fresh fit bit for bit, and its printed rows as
-        ``put_kl`` took them; or None."""
+        equal to a fresh fit bit for bit, the [pool_size, dim] candidate
+        pool it was fitted on, and its printed rows, all as ``put_kl`` took
+        them; or None."""
         return self._lookup("neighborhoods", key, self.kl_counts,
-                            lambda stem: _load_kl(stem, pool_size))
+                            lambda stem: _load_kl(stem, pool_size, dim))
 
-    def put_kl(self, key: str, kl: np.ndarray, text: str) -> None:
-        """Store a fit as little-endian float64, kl_in row first, followed
-        by ``text``, its ASCII printed rows (``neighborhood.kl_text``)."""
+    def put_kl(self, key: str, kl: np.ndarray, pool: np.ndarray, text: str) -> None:
+        """Store a fit as little-endian float64, kl_in row first, then its
+        pool as little-endian float32, which holds a pool already rounded to
+        float32 exactly, then ``text``, its ASCII printed rows
+        (``neighborhood.kl_text``)."""
+        rows = text.encode("ascii")
         nncore.save_entry(os.path.join(self.root, "neighborhoods", key),
                           np.ascontiguousarray(kl, dtype="<f8").tobytes()
-                          + text.encode("ascii"),
-                          {"format": KL_FORMAT, "shape": list(kl.shape), "dtype": "<f8",
-                           "layout": "kl_in row, kl_out row, then one ASCII line "
-                                     "repr(kl_in),repr(kl_out) per pool row"})
+                          + np.ascontiguousarray(pool, dtype="<f4").tobytes() + rows,
+                          {"format": KL_FORMAT, "shape": list(kl.shape),
+                           "dim": pool.shape[1], "text_bytes": len(rows),
+                           "dtype": "<f8", "pool_dtype": "<f4",
+                           "layout": "kl_in row, kl_out row, pool rows, then one "
+                                     "ASCII line j,repr(kl_in),repr(kl_out) per "
+                                     "pool row j"})

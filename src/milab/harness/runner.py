@@ -283,34 +283,39 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
     diagnostics rows go to ``path`` as it is selected, so neither its
     selection record nor its printed rows outlive its turn.
 
-    A point's KL fit and its printed rows come from the cache when its
-    point, pool and models match a stored one; otherwise the fit is made,
-    printed once and stored."""
+    A point's KL fit is keyed by its point, the recipe of its candidate
+    pool and its models, before any candidate exists. On a hit the pool,
+    the fit and its printed rows all come from the cache, and no candidate
+    is generated; otherwise the pool is generated, the fit made, printed
+    once and stored with its pool."""
     modality = cfg.dataset.modality
-    noise = cfg.neighborhood.resolved_noise_scale(modality)
+    # A float, so a configured 1 and 1.0 key the same pool.
+    noise = float(cfg.neighborhood.resolved_noise_scale(modality))
+    pool_size, dim = cfg.neighborhood.pool_size, challenges.features.shape[1]
     # Each distinct model is digested once; every one stays alive (and so
     # keeps its id) through the stage.
     distinct = {id(m): m for models in (*in_models, *out_models) for m in models}
     digests = {ident: params_digest(m) for ident, m in distinct.items()}
-    members = np.empty((len(challenges), cfg.neighborhood.size,
-                        challenges.features.shape[1]))
+    members = np.empty((len(challenges), cfg.neighborhood.size, dim))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(DIAGNOSTICS_HEADER)
         for pos, index in enumerate(challenges.indices.tolist()):
             x, y = challenges.features[pos], int(challenges.labels[pos])
-            cands = gen_neighbors(x, modality, cfg.neighborhood.pool_size, noise,
-                                  derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos))
-            # Round to float32 like the pool's features, in one cast per pool.
-            cands = cands.astype(np.float32).astype(np.float64)
-            key = kl_key(x, y, cands, [digests[id(m)] for m in in_models[pos]],
+            seed = derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos)
+            key = kl_key(x, y, {"modality": modality, "pool_size": pool_size,
+                                "noise_scale": noise, "seed": seed},
+                         [digests[id(m)] for m in in_models[pos]],
                          [digests[id(m)] for m in out_models[pos]])
-            cached = cache.get_kl(key, len(cands))
+            cached = cache.get_kl(key, pool_size, dim)
             if cached is None:
+                cands = gen_neighbors(x, modality, pool_size, noise, seed)
+                # Round to float32 like the pool's features, in one cast per pool.
+                cands = cands.astype(np.float32).astype(np.float64)
                 kl = fit_kl((x, y), cands, in_models[pos], out_models[pos])
                 text = kl_text(kl)
-                cache.put_kl(key, kl, text)
+                cache.put_kl(key, kl, cands, text)
             else:
-                kl, text = cached
+                kl, cands, text = cached
             chosen = select_neighborhood(kl, cands, t_nb=cfg.neighborhood.t_nb,
                                          n=cfg.neighborhood.size)
             f.write(diagnostics_rows(index, text, chosen))

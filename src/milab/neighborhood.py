@@ -134,9 +134,10 @@ def select_neighborhood(kl: np.ndarray, candidates: np.ndarray, t_nb: float,
     kl_in, kl_out = kl
     passed = (kl_in <= t_nb) & (kl_out <= t_nb)
 
-    # Candidates by (max KL, row): the passing ones lead, since a candidate
-    # passes exactly when its max KL is at most t_nb.
-    order = np.lexsort((np.arange(len(candidates)), np.maximum(kl_in, kl_out)))
+    # Candidates by (max KL, row), as a stable sort keeps tied rows in row
+    # order: the passing ones lead, since a candidate passes exactly when its
+    # max KL is at most t_nb.
+    order = np.argsort(np.maximum(kl_in, kl_out), kind="stable")
     chosen = order[:n]
     selected = np.zeros(len(candidates), dtype=bool)
     selected[chosen] = True
@@ -159,9 +160,9 @@ DIAGNOSTICS_HEADER = "challenge_index,candidate,kl_in,kl_out,admitted,selected\r
 
 def kl_text(kl: np.ndarray) -> str:
     """The printed form of a ``fit_kl`` array [2, pool_size]: one line
-    "repr(kl_in),repr(kl_out)\\n" per pool row, in row order. The cache
+    "j,repr(kl_in),repr(kl_out)\\n" per pool row j, in row order. The cache
     stores it beside the floats, so a cached fit is printed only once."""
-    return "".join([f"{a!r},{b!r}\n" for a, b in zip(*kl.tolist())])
+    return "".join([f"{j},{a!r},{b!r}\n" for j, (a, b) in enumerate(zip(*kl.tolist()))])
 
 
 def diagnostics_rows(index: int, text: str, chosen: NeighborhoodSet) -> str:
@@ -174,6 +175,14 @@ def diagnostics_rows(index: int, text: str, chosen: NeighborhoodSet) -> str:
 
     The rows are in ``csv.writer``'s default dialect: no field holds a comma,
     quote or line break, so none is quoted, and each row ends in its "\\r\\n"
-    terminator."""
-    rows = zip(text.split("\n"), chosen.admitted.tolist(), chosen.selected.tolist())
-    return "".join(["%d,%d,%s,%d,%d\r\n" % (index, j, *row) for j, row in enumerate(rows)])
+    terminator. Each printed row is followed by one of four suffixes, picked
+    by ``2*admitted + selected``, that ends the row and starts the next."""
+    head = f"{index},"
+    suffixes = [f",{a},{s}\r\n{head}" for a in (0, 1) for s in (0, 1)]
+    rows = text.split("\n")  # the pool's rows, then the empty rest
+    parts = [""] * (2 * len(rows) - 1)
+    parts[0::2] = rows
+    parts[1::2] = [suffixes[code]
+                   for code in (2 * chosen.admitted + chosen.selected).tolist()]
+    # The last suffix starts a row that does not exist.
+    return (head + "".join(parts))[:-len(head)]

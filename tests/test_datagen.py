@@ -154,6 +154,13 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             dg.gen_neighbors(np.zeros(3), "audio", 4, 0.1, 0)
 
+    @pytest.mark.parametrize("modality", [dg.CONTINUOUS, dg.BINARY])
+    def test_noise_too_small_to_move_the_point_is_rejected(self, modality):
+        # 1e-300 jitter rounds back to x and flips no bit: every draw equals
+        # x, so the pool stops at its draw cap instead of resampling forever.
+        with pytest.raises(ValueError, match="noise_scale 1e-300"):
+            dg.gen_neighbors(np.ones(6), modality, 4, 1e-300, 0)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

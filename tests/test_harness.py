@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from milab import nncore
 from milab.attack import CHAMELEON, GAP, LabelOnlyModel
+from milab.datagen import gen_neighbors
 from milab.harness import cache as hcache
 from milab.harness import cli
 from milab.harness import config as hc
@@ -23,6 +24,7 @@ from milab.harness import runner as hr
 from milab.neighborhood import kl_text
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
+from milab.rng import derive_seed
 
 logging.disable(logging.WARNING)
 
@@ -351,34 +353,43 @@ class TestKlCache:
         blob = sorted((cache / "neighborhoods").glob("*.bin"))[0]
         manifest = blob.with_suffix(".json")
         good_blob, good_manifest = blob.read_bytes(), manifest.read_text()
-        shape = json.loads(good_manifest)["shape"]
-        floats, text = good_blob[:8 * shape[0] * shape[1]], good_blob[8 * shape[0] * shape[1]:]
+        doc = json.loads(good_manifest)
+        fit_bytes = 8 * doc["shape"][0] * doc["shape"][1]
+        pool_end = fit_bytes + 4 * doc["shape"][1] * doc["dim"]
+        floats, pool = good_blob[:fit_bytes], good_blob[fit_bytes:pool_end]
+        text = good_blob[pool_end:]
         rows = text.split(b"\n")  # the last item is the empty rest
 
         def with_checksum(data):
             """Write ``data`` with a manifest whose checksum matches it."""
             blob.write_bytes(data)
-            manifest.write_text(json.dumps({**json.loads(good_manifest),
-                                            "sha256": hashlib.sha256(data).hexdigest()}))
+            manifest.write_text(json.dumps({**doc, "sha256": hashlib.sha256(data).hexdigest()}))
 
         damages = {
             "truncated blob": lambda: blob.write_bytes(good_blob[:100]),
             # Negating every float keeps the size; only the checksum can tell.
             "same-size floats": lambda: blob.write_bytes(
-                (-np.frombuffer(floats, "<f8")).tobytes() + text),
+                (-np.frombuffer(floats, "<f8")).tobytes() + pool + text),
+            # So does negating the pool.
+            "same-size pool": lambda: blob.write_bytes(
+                floats + (-np.frombuffer(pool, "<f4")).tobytes() + text),
             # So does swapping the first and last printed rows.
             "same-size text": lambda: blob.write_bytes(
-                floats + b"\n".join([rows[-2], *rows[1:-2], rows[0], b""])),
+                floats + pool + b"\n".join([rows[-2], *rows[1:-2], rows[0], b""])),
             "non-object manifest": lambda: manifest.write_text("[]"),
             "unreadable manifest": lambda: manifest.write_text("{"),
             "wrong shape": lambda: manifest.write_text(json.dumps(
-                {**json.loads(good_manifest), "shape": [shape[1], 2]})),
-            # A blob one printed row short, then one cut inside its last row,
-            # each with a manifest checksum that matches it.
+                {**doc, "shape": doc["shape"][::-1]})),
+            "wrong dim": lambda: manifest.write_text(json.dumps(
+                {**doc, "dim": doc["dim"] + 1})),
+            # A pool one float short, a blob one printed row short, then one
+            # cut inside its last row, each with a manifest checksum that
+            # matches it.
+            "short pool": lambda: with_checksum(floats + pool[:-4] + text),
             "short text": lambda: with_checksum(
-                floats + text[:text.rindex(b"\n", 0, -1) + 1]),
+                floats + pool + text[:text.rindex(b"\n", 0, -1) + 1]),
             "short blob": lambda: with_checksum(good_blob[:-16]),
-            "non-ascii text": lambda: with_checksum(floats + b"\xff" + text[1:]),
+            "non-ascii text": lambda: with_checksum(floats + pool + b"\xff" + text[1:]),
         }
         for name, damage in damages.items():
             damage()
@@ -406,23 +417,65 @@ class TestKlCache:
         assert kl_counts(tmp_path / "ab" / "neighborhood_size_8") == (points, 0, 0)
 
     def test_key_sensitive_to_model_order_and_pool(self, tmp_path):
-        gen = np.random.default_rng(0)
-        x, pool = gen.normal(size=3), gen.normal(size=(5, 3))
+        # The pool enters the key through its recipe: each field, the label,
+        # the point and the IN/OUT order each change the key.
+        x = np.random.default_rng(0).normal(size=3)
+        recipe = {"modality": "continuous", "pool_size": 5, "noise_scale": 0.15,
+                  "seed": 7}
         in_digests, out_digests = ["a" * 64, "b" * 64], ["c" * 64, "d" * 64]
-        base = hcache.kl_key(x, 1, pool, in_digests, out_digests)
-        moved = pool.copy()
-        moved[2, 0] = np.nextafter(moved[2, 0], np.inf)
-        others = [hcache.kl_key(x, 1, pool, out_digests, in_digests),
-                  hcache.kl_key(x, 1, pool, in_digests[::-1], out_digests),
-                  hcache.kl_key(x, 1, moved, in_digests, out_digests),
-                  hcache.kl_key(x, 2, pool, in_digests, out_digests)]
-        assert len({base, *others}) == 5
+        base = hcache.kl_key(x, 1, recipe, in_digests, out_digests)
+        moved = x.copy()
+        moved[2] = np.nextafter(moved[2], np.inf)
+        others = [hcache.kl_key(x, 1, recipe, out_digests, in_digests),
+                  hcache.kl_key(x, 1, recipe, in_digests[::-1], out_digests),
+                  hcache.kl_key(moved, 1, recipe, in_digests, out_digests),
+                  hcache.kl_key(x, 2, recipe, in_digests, out_digests)]
+        for field, value in (("seed", 8), ("noise_scale", np.nextafter(0.15, 1.0)),
+                             ("modality", "binary"), ("pool_size", 6)):
+            others.append(hcache.kl_key(x, 1, {**recipe, field: value},
+                                        in_digests, out_digests))
+        assert len({base, *others}) == 1 + len(others)
         cache = hcache.ModelCache(str(tmp_path))
-        kl = gen.uniform(size=(2, 5))
-        cache.put_kl(base, kl, kl_text(kl))
-        assert all(cache.get_kl(key, 5) is None for key in others)
-        assert cache.get_kl(base, 5)[0].tobytes() == kl.tobytes()
+        gen = np.random.default_rng(1)
+        kl, pool = gen.uniform(size=(2, 5)), gen.normal(size=(5, 3))
+        cache.put_kl(base, kl, pool, kl_text(kl))
+        assert all(cache.get_kl(key, 5, 3) is None for key in others)
+        assert cache.get_kl(base, 5, 3)[0].tobytes() == kl.tobytes()
         assert (cache.kl_counts.hits, cache.kl_counts.misses) == (1, len(others))
+
+    def test_cached_pool_is_the_rounded_fresh_pool(self, tmp_path):
+        # Each entry's pool equals its point's gen_neighbors pool rounded to
+        # float32, bit for bit, so a warm game selects from the cold pool.
+        cfg = tiny_config()
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(tmp_path / "cache"))
+        pool, _ = hr._make_datasets(cfg)
+        challenges = hr._pick_challenges(cfg, pool)
+        noise = cfg.neighborhood.resolved_noise_scale(cfg.dataset.modality)
+        fresh = [gen_neighbors(x, cfg.dataset.modality, cfg.neighborhood.pool_size, noise,
+                               derive_seed(cfg.master_seed, hr.TAG_NEIGHBOR, pos))
+                 .astype(np.float32).astype(np.float64).tobytes()
+                 for pos, x in enumerate(challenges.features)]
+        cached = [hcache._load_kl(str(stem.with_suffix("")), cfg.neighborhood.pool_size,
+                                  cfg.dataset.dim)[1].tobytes()
+                  for stem in (tmp_path / "cache" / "neighborhoods").glob("*.bin")]
+        assert sorted(cached) == sorted(fresh)
+
+    def test_warm_game_generates_no_candidates(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_gen_neighbors(*args, **kwargs):
+            calls.append(args)
+            return gen_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(hr, "gen_neighbors", counting_gen_neighbors)
+        cfg = tiny_config()
+        cache = str(tmp_path / "cache")
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
+        assert len(calls) == cfg.num_challenge_points
+        hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
+        assert len(calls) == cfg.num_challenge_points
+        name = "neighborhood_diagnostics.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_params_digest_reads_every_parameter(self):
         model = nncore.init_params(3, (4,), 2, seed=0)
@@ -798,6 +851,16 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
         assert "stage 'neighborhood'" in capsys.readouterr().err
+
+    def test_noise_too_small_to_move_a_point_fails_the_run(self, tmp_path, capsys):
+        cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=8, pool_size=16,
+                                                             noise_scale=1e-300))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.canonical_dict()))
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'neighborhood'" in err and "noise_scale 1e-300" in err
 
     def test_bad_csv_input_exit_code(self, tmp_path, capsys):
         # Bad input is a config error that names the file, not a stage failure.

@@ -305,36 +305,46 @@ class TestSelectNeighborhood:
 
 class TestCachedFit:
     def test_cached_fit_picks_like_a_fresh_one(self, tmp_path):
-        # The fit is stored as float64 bytes, so a warm game's pick is the
-        # cold game's, diagnostics included.
+        # The fit is stored as float64 bytes and its pool as float32 bytes,
+        # so a warm game's pick is the cold game's, diagnostics included.
         offsets = [0.0, 0.4, 0.9, 1.5, 2.5]
         challenge, cands, mi, mo = build_selection_setup(offsets, offsets[::-1])
         fresh = nb.fit_kl(challenge, cands, mi, mo)
         assert fresh.shape == (2, len(cands)) and fresh.dtype == np.float64
         cache = ModelCache(str(tmp_path))
-        cache.put_kl("k", fresh, nb.kl_text(fresh))
-        cached, text = cache.get_kl("k", len(cands))
+        cache.put_kl("k", fresh, cands, nb.kl_text(fresh))
+        cached, pool, text = cache.get_kl("k", *cands.shape)
         assert bits(cached.ravel()) == bits(fresh.ravel())
+        assert pool.dtype == np.float64 and bits(pool.ravel()) == bits(cands.ravel())
         assert text == nb.kl_text(fresh)
         a = nb.select_neighborhood(fresh, cands, t_nb=1.0, n=3)
-        b = nb.select_neighborhood(cached, cands, t_nb=1.0, n=3)
+        b = nb.select_neighborhood(cached, pool, t_nb=1.0, n=3)
         assert a.fallback_filled == b.fallback_filled and a.diagnostics == b.diagnostics
         assert np.array_equal(a.features, b.features)
 
-    @given(st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)),
-                    min_size=1, max_size=12))
+    @given(pairs=st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)),
+                          min_size=1, max_size=12),
+           data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_entry_round_trip_keeps_floats_and_their_reprs(self, pairs):
-        # A hit parses no float: its floats come back as stored bytes, and
-        # its rows are the repr of exactly those floats.
+    def test_entry_round_trip_keeps_floats_and_their_reprs(self, pairs, data):
+        # A hit parses no float: its floats and its float32 pool come back
+        # as stored bytes, and its rows are the repr of exactly those floats,
+        # each led by its row.
         kl = np.array(pairs, dtype=np.float64).T.copy()
+        dim = data.draw(st.integers(1, 3))
+        pool = np.array(data.draw(st.lists(st.floats(allow_nan=False, width=32),
+                                           min_size=len(pairs) * dim,
+                                           max_size=len(pairs) * dim)),
+                        dtype=np.float64).reshape(len(pairs), dim)
         with tempfile.TemporaryDirectory() as root:
             cache = ModelCache(root)
-            cache.put_kl("k", kl, nb.kl_text(kl))
-            cached, text = cache.get_kl("k", kl.shape[1])
+            cache.put_kl("k", kl, pool, nb.kl_text(kl))
+            cached, cached_pool, text = cache.get_kl("k", kl.shape[1], dim)
         assert bits(cached.ravel()) == bits(kl.ravel())
+        assert bits(cached_pool.ravel()) == bits(pool.ravel())
         assert not cached.flags.writeable
-        assert text.split("\n")[:-1] == [f"{a!r},{b!r}" for a, b in cached.T.tolist()]
+        assert text.split("\n")[:-1] == [f"{j},{a!r},{b!r}"
+                                         for j, (a, b) in enumerate(cached.T.tolist())]
         assert (cache.kl_counts.hits, cache.kl_counts.corrupt) == (1, 0)
 
 
