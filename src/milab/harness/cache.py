@@ -1,5 +1,5 @@
-"""Content-addressed artifact cache for trained models and neighbourhood
-KL fits.
+"""Content-addressed artifact cache for trained models, neighbourhood KL fits
+and target models' accuracies.
 
 Cache keys are sha256 digests of everything the artifact depends on: for a
 model, a canonical-JSON description of its training-set content hash,
@@ -14,6 +14,11 @@ recipe, not the pool's bytes, so a warm game generates no candidates.  The
 key therefore cannot see a change to how a recipe becomes a pool or a fit:
 any change to ``datagen.gen_neighbors``, to the runner's float32 rounding of
 the pool or to ``neighborhood.fit_kl`` must bump ``KL_FORMAT``.
+
+A target's accuracies are keyed by its model key and the evaluation set's
+content hash, which fix them only as long as labels are computed the same
+way: any change to the label path (``ModelParams.predict_label_batch``) or to
+``nncore.accuracy`` must bump ``STATS_FORMAT``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ logger = logging.getLogger(__name__)
 
 # Manifest format of a KL entry, and the version tag of its key.
 KL_FORMAT = "milab-kl-v3"
+# Manifest format of a target's accuracies entry, and the version tag of its key.
+STATS_FORMAT = "milab-stats-v1"
 
 
 def canonical_json(obj) -> str:
@@ -117,6 +124,23 @@ def _load_kl(stem: str, pool_size: int, dim: int) -> tuple[np.ndarray, np.ndarra
     return kl, pool.reshape(pool_size, dim).astype(np.float64), text
 
 
+def stats_key(model_key: str, eval_digest: str) -> str:
+    """Key of the train and eval accuracy of the model under ``model_key``
+    on the evaluation set whose ``dataset_digest`` is ``eval_digest``; the
+    model key already names the training set."""
+    return digest({"format": STATS_FORMAT, "model": model_key, "eval": eval_digest})
+
+
+def _load_stats(stem: str) -> tuple[float, float]:
+    """The (train, eval) accuracy pair. Raises ValueError when the blob is
+    not two float64."""
+    blob, _ = nncore.load_entry(stem, STATS_FORMAT)
+    if len(blob) != 16:
+        raise ValueError(f"{stem}.bin does not hold two float64")
+    train_acc, eval_acc = np.frombuffer(blob, dtype="<f8").tolist()
+    return train_acc, eval_acc
+
+
 @dataclass
 class Tally:
     """Lookups of one kind of entry; ``corrupt`` counts the misses on
@@ -128,17 +152,19 @@ class Tally:
 
 
 class ModelCache:
-    """Stores trained models under ``models/`` and KL fits under
-    ``neighborhoods/``, each under its dependency digest.
+    """Stores trained models under ``models/``, KL fits under
+    ``neighborhoods/`` and target accuracies under ``stats/``, each under its
+    dependency digest.
 
-    ``model_counts`` and ``kl_counts`` tally the lookups of each kind during
-    this process's lifetime."""
+    ``model_counts``, ``kl_counts`` and ``stats_counts`` tally the lookups
+    of each kind during this process's lifetime."""
 
     def __init__(self, root: str):
         self.root = root
         self.model_counts = Tally()
         self.kl_counts = Tally()
-        for kind in ("models", "neighborhoods"):
+        self.stats_counts = Tally()
+        for kind in ("models", "neighborhoods", "stats"):
             os.makedirs(os.path.join(root, kind), exist_ok=True)
 
     def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
@@ -199,3 +225,15 @@ class ModelCache:
                            "layout": "kl_in row, kl_out row, pool rows, then one "
                                      "ASCII line j,repr(kl_in),repr(kl_out) per "
                                      "pool row j"})
+
+    def get_stats(self, key: str) -> tuple[float, float] | None:
+        """The cached (train, eval) accuracy pair, bit for bit as
+        ``put_stats`` took it, or None."""
+        return self._lookup("stats", key, self.stats_counts, _load_stats)
+
+    def put_stats(self, key: str, train_acc: float, eval_acc: float) -> None:
+        """Store the pair as two little-endian float64."""
+        nncore.save_entry(os.path.join(self.root, "stats", key),
+                          np.array([train_acc, eval_acc], dtype="<f8").tobytes(),
+                          {"format": STATS_FORMAT, "dtype": "<f8",
+                           "layout": "train_accuracy, eval_accuracy"})

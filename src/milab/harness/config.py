@@ -107,6 +107,12 @@ class ExperimentConfig:
         d = self.dataset
         if d.kind != "csv" and self.num_challenge_points > d.num_classes * d.n_per_class:
             raise ConfigError("more challenge points than pool points")
+        # A binary candidate flips each bit with this probability; at 1 or
+        # more every candidate is the point's complement.
+        if (d.modality == datagen.BINARY
+                and self.neighborhood.resolved_noise_scale(d.modality) >= 1):
+            raise ConfigError("a binary noise_scale is a bit-flip probability, "
+                              "so it must be below 1")
 
     def canonical_dict(self) -> dict:
         """Result-determining fields only (workers excluded)."""

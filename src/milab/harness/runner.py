@@ -34,8 +34,8 @@ from ..poisoner import (ChallengeSet, PoisonConfig, PoisonPlan,
                         build_poisoned_training_set, make_challenge_set,
                         save_poison_plan)
 from ..rng import derive_seed, make_rng
-from .cache import (ModelCache, canonical_json, digest, file_digest, kl_key,
-                    params_digest)
+from .cache import (ModelCache, canonical_json, dataset_digest, digest, file_digest,
+                    kl_key, params_digest, stats_key)
 from .config import ConfigError, ExperimentConfig
 
 # Seed-path tags, one per random stream in the pipeline.
@@ -98,6 +98,9 @@ class CostReport:
     kl_cache_hits: int
     kl_cache_misses: int
     kl_cache_corrupt: int
+    stats_cache_hits: int
+    stats_cache_misses: int
+    stats_cache_corrupt: int
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -344,15 +347,26 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
     return split, train_sets, trainer.many(list(zip(train_sets, seeds)))
 
 
-def _write_model_stats(path: str, targets, train_sets, eval_ds: Dataset) -> dict[str, float]:
-    """Per-target train/eval accuracy to ``path``; returns their means."""
+def _write_model_stats(path: str, targets, train_sets, keys: list[str],
+                       eval_ds: Dataset, cache: ModelCache) -> dict[str, float]:
+    """Per-target train/eval accuracy to ``path``; returns their means.
+
+    Target j's pair is cached under its model key ``keys[j]`` and the eval
+    set, so only a miss computes it."""
+    eval_digest = dataset_digest(eval_ds)
     train_accs, eval_accs = [], []
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model_id", "train_accuracy", "eval_accuracy"])
-        for j, (model, train_set) in enumerate(zip(targets, train_sets)):
-            tr = nncore.accuracy(model, train_set)
-            ev = nncore.accuracy(model, eval_ds)
+        for j, (model, train_set, model_key) in enumerate(zip(targets, train_sets, keys)):
+            key = stats_key(model_key, eval_digest)
+            cached = cache.get_stats(key)
+            if cached is None:
+                tr = nncore.accuracy(model, train_set)
+                ev = nncore.accuracy(model, eval_ds)
+                cache.put_stats(key, tr, ev)
+            else:
+                tr, ev = cached
             train_accs.append(tr)
             eval_accs.append(ev)
             writer.writerow([j, repr(tr), repr(ev)])
@@ -456,8 +470,9 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
     with _stage("targets", stage_seconds):
         target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
                                                            plan, trainer)
-        model_stats = _write_model_stats(artifacts["model_stats"], targets,
-                                         train_sets, eval_ds)
+        # Every key after the shadow models' is a target's, in target order.
+        model_stats = _write_model_stats(artifacts["model_stats"], targets, train_sets,
+                                         trainer.keys[len(model_refs):], eval_ds, cache)
     with _stage("scores", stage_seconds):
         scores, total_queries = _score(cfg, challenges, members, targets)
         truth = target_split[:, challenges.indices]
@@ -477,7 +492,10 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
             cache_corrupt=cache.model_counts.corrupt,
             kl_cache_hits=cache.kl_counts.hits,
             kl_cache_misses=cache.kl_counts.misses,
-            kl_cache_corrupt=cache.kl_counts.corrupt)
+            kl_cache_corrupt=cache.kl_counts.corrupt,
+            stats_cache_hits=cache.stats_counts.hits,
+            stats_cache_misses=cache.stats_counts.misses,
+            stats_cache_corrupt=cache.stats_counts.corrupt)
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
             json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
         _write_manifest(cfg, out_dir, artifacts, stage_seconds)

@@ -147,6 +147,24 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_binary_noise_scale_is_below_one(self, tmp_path):
+        # A binary candidate flips each bit with probability noise_scale, so
+        # at 1 or more every candidate was the point's complement.
+        binary = {"kind": "binary", "num_classes": 2, "dim": 8}
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        for scale in (1.0, 1.5):
+            doc = {"dataset": binary, "neighborhood": {"noise_scale": scale}}
+            with pytest.raises(hc.ConfigError, match="bit-flip probability"):
+                hc.config_from_dict(doc)
+            cfg_path.write_text(json.dumps(doc))
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert not out.exists()
+        doc = {"dataset": binary, "neighborhood": {"noise_scale": 0.999}}
+        assert hc.config_from_dict(doc).neighborhood.noise_scale == 0.999
+        # A gaussian noise_scale is a jitter scale, with no upper bound.
+        assert hc.config_from_dict({"neighborhood": {"noise_scale": 1.5}})
+
     def test_dp_section_parsed(self):
         cfg = hc.config_from_dict({
             "train": {"epochs": 2, "learning_rate": 0.1,
@@ -326,9 +344,10 @@ class TestModelCache:
         assert first.cost.cache_corrupt == 0
 
 
-def kl_counts(out_dir) -> tuple[int, int, int]:
+def cache_counts(out_dir, kind: str) -> tuple[int, int, int]:
+    """cost.json's hits, misses and corrupt count of one kind of cache entry."""
     cost = json.loads((out_dir / "cost.json").read_text())
-    return cost["kl_cache_hits"], cost["kl_cache_misses"], cost["kl_cache_corrupt"]
+    return tuple(cost[f"{kind}_cache_{count}"] for count in ("hits", "misses", "corrupt"))
 
 
 class TestKlCache:
@@ -338,8 +357,8 @@ class TestKlCache:
         hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
         hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
         points = cfg.num_challenge_points
-        assert kl_counts(tmp_path / "a") == (0, points, 0)
-        assert kl_counts(tmp_path / "b") == (points, 0, 0)
+        assert cache_counts(tmp_path / "a", "kl") == (0, points, 0)
+        assert cache_counts(tmp_path / "b", "kl") == (points, 0, 0)
         assert len(list((tmp_path / "cache" / "neighborhoods").glob("*.bin"))) == points
         for name in CONTRACT_FILES:
             assert ((tmp_path / "a" / name).read_bytes()
@@ -400,7 +419,7 @@ class TestKlCache:
                     hr.run_privacy_game(cfg, str(out), cache_dir=str(cache))
             finally:
                 logging.disable(logging.WARNING)
-            assert kl_counts(out) == (cfg.num_challenge_points - 1, 1, 1), name
+            assert cache_counts(out, "kl") == (cfg.num_challenge_points - 1, 1, 1), name
             assert blob.stem in caplog.text, name
             caplog.clear()
             assert (out / "neighborhood_diagnostics.csv").read_bytes() == reference, name
@@ -413,8 +432,8 @@ class TestKlCache:
         cfg = tiny_config()
         hr.run_ablation(cfg, "neighborhood_size", [4, 8], str(tmp_path / "ab"))
         points = cfg.num_challenge_points
-        assert kl_counts(tmp_path / "ab" / "neighborhood_size_4") == (0, points, 0)
-        assert kl_counts(tmp_path / "ab" / "neighborhood_size_8") == (points, 0, 0)
+        assert cache_counts(tmp_path / "ab" / "neighborhood_size_4", "kl") == (0, points, 0)
+        assert cache_counts(tmp_path / "ab" / "neighborhood_size_8", "kl") == (points, 0, 0)
 
     def test_key_sensitive_to_model_order_and_pool(self, tmp_path):
         # The pool enters the key through its recipe: each field, the label,
@@ -487,6 +506,89 @@ class TestKlCache:
             nncore.ModelParams(model.flat.copy(), list(model.dims)))
 
 
+class TestStatsCache:
+    def test_warm_rerun_computes_no_accuracy(self, tmp_path, monkeypatch):
+        accuracy, calls = nncore.accuracy, []
+
+        def counting_accuracy(model, dataset):
+            calls.append(len(dataset))
+            return accuracy(model, dataset)
+
+        monkeypatch.setattr(nncore, "accuracy", counting_accuracy)
+        cfg = tiny_config()
+        cache = str(tmp_path / "cache")
+        targets = cfg.num_target_models
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
+        assert cache_counts(tmp_path / "a", "stats") == (0, targets, 0)
+        assert len(calls) == 2 * targets
+        hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
+        assert cache_counts(tmp_path / "b", "stats") == (targets, 0, 0)
+        assert len(calls) == 2 * targets
+        assert len(list((tmp_path / "cache" / "stats").glob("*.bin"))) == targets
+        name = "model_stats.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_damaged_entry_is_recomputed(self, tmp_path, caplog):
+        cfg = tiny_config()
+        cache = tmp_path / "cache"
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=str(cache))
+        reference = (tmp_path / "a" / "model_stats.csv").read_bytes()
+        blob = sorted((cache / "stats").glob("*.bin"))[0]
+        manifest = blob.with_suffix(".json")
+        good_blob, good_manifest = blob.read_bytes(), manifest.read_text()
+        doc = json.loads(good_manifest)
+
+        def short_blob():
+            """One float, with a manifest checksum that matches it."""
+            blob.write_bytes(good_blob[:8])
+            manifest.write_text(json.dumps(
+                {**doc, "sha256": hashlib.sha256(good_blob[:8]).hexdigest()}))
+
+        damages = {
+            "truncated blob": lambda: blob.write_bytes(good_blob[:10]),
+            # Negating both floats keeps the size (an accuracy of 0.0 becomes
+            # -0.0); only the checksum can tell.
+            "same-size floats": lambda: blob.write_bytes(
+                (-np.frombuffer(good_blob, "<f8")).tobytes()),
+            "unreadable manifest": lambda: manifest.write_text("{"),
+            "non-object manifest": lambda: manifest.write_text("[]"),
+            "wrong format": lambda: manifest.write_text(json.dumps(
+                {**doc, "format": hcache.KL_FORMAT})),
+            "short blob": short_blob,
+        }
+        for name, damage in damages.items():
+            damage()
+            out = tmp_path / name.replace(" ", "_")
+            logging.disable(logging.NOTSET)
+            try:
+                with caplog.at_level(logging.WARNING, logger="milab.harness.cache"):
+                    hr.run_privacy_game(cfg, str(out), cache_dir=str(cache))
+            finally:
+                logging.disable(logging.WARNING)
+            assert cache_counts(out, "stats") == (cfg.num_target_models - 1, 1, 1), name
+            assert blob.stem in caplog.text, name
+            caplog.clear()
+            assert (out / "model_stats.csv").read_bytes() == reference, name
+            # The recomputation overwrote the entry with the original bytes.
+            assert (blob.read_bytes(), manifest.read_text()) == (good_blob, good_manifest), name
+        assert not list((cache / "stats").glob("*.tmp"))
+
+    def test_key_sensitive_to_model_key_and_eval_set(self, tmp_path):
+        model_key, eval_digest = "a" * 64, "e" * 64
+        base = hcache.stats_key(model_key, eval_digest)
+        assert hcache.stats_key("b" * 64, eval_digest) != base
+        assert hcache.stats_key(model_key, "f" * 64) != base
+        # Another eval_size draws another eval set and trains the same
+        # models: every model is a hit and every target's accuracies a miss.
+        cfg = tiny_config()
+        cache = str(tmp_path / "cache")
+        hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
+        rerun = hr.run_privacy_game(replace(cfg, eval_size=20), str(tmp_path / "b"),
+                                    cache_dir=cache)
+        assert rerun.cost.cache_misses == 0
+        assert cache_counts(tmp_path / "b", "stats") == (0, cfg.num_target_models, 0)
+
+
 class TestPrivacyGame:
     def test_observation_counts_and_balance(self, tmp_path):
         cfg = tiny_config()
@@ -553,8 +655,9 @@ class TestPrivacyGame:
         second = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
         assert second.cost.cache_misses == 0
         assert second.cost.cache_hits > 0
-        assert ((tmp_path / "a" / "metrics.csv").read_bytes()
-                == (tmp_path / "b" / "metrics.csv").read_bytes())
+        for name in ("metrics.csv", "model_stats.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_worker_pool_does_not_change_results(self, tmp_path):
         # The strict game's per-point adaptive loop trains through the pool too.
@@ -747,6 +850,10 @@ class TestAblation:
         # 12 shadows (exhausted loop) + 4 targets, 2 files each.
         model_dir = os.path.join(str(tmp_path / "ab" / "cache"), "models")
         assert len(os.listdir(model_dir)) == (12 + 4) * 2
+        # Nor do the targets' accuracies.
+        targets = cfg.num_target_models
+        assert cache_counts(tmp_path / "ab" / "t_nb_0.25", "stats") == (0, targets, 0)
+        assert cache_counts(tmp_path / "ab" / "t_nb_0.75", "stats") == (targets, 0, 0)
 
     def test_unknown_knob_rejected(self, tmp_path):
         with pytest.raises(hc.ConfigError):
@@ -771,7 +878,7 @@ class TestAblation:
 # The files the determinism contract holds byte-identical across worker
 # counts and between a cold run and a warm rerun on its cache.
 CONTRACT_FILES = ("scores.csv", "metrics.csv", "poison_plan.json",
-                  "neighborhood_diagnostics.csv")
+                  "neighborhood_diagnostics.csv", "model_stats.csv")
 
 
 class TestDeterminismContract:
