@@ -27,7 +27,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,21 +151,29 @@ class Tally:
     corrupt: int = 0
 
 
+# Entry kind (its directory under the cache root) -> the prefix of its
+# lookup counters in ``cost.json``.
+COUNTER_PREFIXES = {"models": "cache", "neighborhoods": "kl_cache", "stats": "stats_cache"}
+
+
 class ModelCache:
     """Stores trained models under ``models/``, KL fits under
     ``neighborhoods/`` and target accuracies under ``stats/``, each under its
-    dependency digest.
-
-    ``model_counts``, ``kl_counts`` and ``stats_counts`` tally the lookups
-    of each kind during this process's lifetime."""
+    dependency digest, and tallies the lookups of each kind during this
+    process's lifetime."""
 
     def __init__(self, root: str):
         self.root = root
-        self.model_counts = Tally()
-        self.kl_counts = Tally()
-        self.stats_counts = Tally()
-        for kind in ("models", "neighborhoods", "stats"):
+        self.tallies = {kind: Tally() for kind in COUNTER_PREFIXES}
+        for kind in COUNTER_PREFIXES:
             os.makedirs(os.path.join(root, kind), exist_ok=True)
+
+    def counts(self) -> dict[str, int]:
+        """The lookup counters of ``cost.json``: ``<prefix>_hits``,
+        ``<prefix>_misses`` and ``<prefix>_corrupt`` per entry kind."""
+        return {f"{prefix}_{name}": value
+                for kind, prefix in COUNTER_PREFIXES.items()
+                for name, value in asdict(self.tallies[kind]).items()}
 
     def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
         return digest({
@@ -174,10 +182,11 @@ class ModelCache:
             "hidden": list(hidden),
         })
 
-    def _lookup(self, kind: str, key: str, tally: Tally, load):
+    def _lookup(self, kind: str, key: str, load):
         """``load(stem)`` of the entry, or None (a miss) when it is absent or
         damaged; a damaged entry is logged, so the caller recomputes and
         overwrites it."""
+        tally = self.tallies[kind]
         stem = os.path.join(self.root, kind, key)
         if nncore.entry_exists(stem):
             try:
@@ -194,8 +203,7 @@ class ModelCache:
     def get(self, key: str) -> nncore.ModelParams | None:
         """The cached model, or None; cached parameters equal freshly
         trained ones bit for bit."""
-        return self._lookup("models", key, self.model_counts,
-                            lambda stem: nncore.load_model(stem)[0])
+        return self._lookup("models", key, lambda stem: nncore.load_model(stem)[0])
 
     def put(self, key: str, model: nncore.ModelParams, cfg: nncore.TrainConfig) -> None:
         nncore.save_model(model, os.path.join(self.root, "models", key), seed=cfg.seed,
@@ -207,7 +215,7 @@ class ModelCache:
         equal to a fresh fit bit for bit, the [pool_size, dim] candidate
         pool it was fitted on, and its printed rows, all as ``put_kl`` took
         them; or None."""
-        return self._lookup("neighborhoods", key, self.kl_counts,
+        return self._lookup("neighborhoods", key,
                             lambda stem: _load_kl(stem, pool_size, dim))
 
     def put_kl(self, key: str, kl: np.ndarray, pool: np.ndarray, text: str) -> None:
@@ -229,7 +237,7 @@ class ModelCache:
     def get_stats(self, key: str) -> tuple[float, float] | None:
         """The cached (train, eval) accuracy pair, bit for bit as
         ``put_stats`` took it, or None."""
-        return self._lookup("stats", key, self.stats_counts, _load_stats)
+        return self._lookup("stats", key, _load_stats)
 
     def put_stats(self, key: str, train_acc: float, eval_acc: float) -> None:
         """Store the pair as two little-endian float64."""

@@ -97,8 +97,9 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_sizes must be positive ints, got {list(self.hidden_sizes)}")
         if self.num_target_models < 2 or self.num_target_models % 2 != 0:
             raise ConfigError("num_target_models must be even and >= 2")
-        if self.num_challenge_points < 1:
-            raise ConfigError("num_challenge_points must be >= 1")
+        for name in ("num_challenge_points", "eval_size", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         unknown = set(self.attacks) - {CHAMELEON, GAP}
         if unknown:
             raise ConfigError(f"unknown attacks: {sorted(unknown)}")
@@ -179,6 +180,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["dataset"] = _build(doc.pop("dataset"), DatasetConfig, "dataset")
     if "train" in doc:
         section = doc.pop("train")
+        if isinstance(section, dict) and "seed" in section:
+            raise ConfigError("train.seed is not a setting: every model's seed "
+                              "derives from master_seed")
         if isinstance(section, dict) and section.get("dp") is not None:  # null: no DP
             section = {**section, "dp": _build(section["dp"], DpConfig, "train.dp")}
         kwargs["train"] = _build(section, TrainConfig, "train")

@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,40 +86,17 @@ def _stage(name: str, stage_seconds: dict[str, float]):
 
 
 @dataclass
-class CostReport:
-    shadow_models: int
-    target_models: int
-    queries_per_challenge: dict[str, int]
-    total_label_queries: int
-    stage_seconds: dict[str, float]
-    cache_hits: int
-    cache_misses: int
-    cache_corrupt: int
-    kl_cache_hits: int
-    kl_cache_misses: int
-    kl_cache_corrupt: int
-    stats_cache_hits: int
-    stats_cache_misses: int
-    stats_cache_corrupt: int
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["stage_seconds"] = {k: round(v, 3) for k, v in self.stage_seconds.items()}
-        return doc
-
-
-@dataclass
 class GameResult:
     """``scores[attack][j, p]`` is target j's score on challenge point p;
-    ``truth[j, p]`` says whether target j trained on it."""
+    ``truth[j, p]`` says whether target j trained on it; ``cost`` is the
+    document written to ``cost.json``."""
 
     reports: dict[str, metrics.MetricReport]
     scores: dict[str, np.ndarray]
     truth: np.ndarray
     replica_counts: np.ndarray
-    cost: CostReport
+    cost: dict
     out_dir: str
-    model_stats: dict[str, float] = field(default_factory=dict)
 
 
 def _quantize(ds: Dataset) -> Dataset:
@@ -170,8 +147,9 @@ class TrainerPool:
         models = [self.cache.get(key) for key in keys]
         missing = [i for i, model in enumerate(models) if model is None]
         args = [(jobs[i][0], cfgs[i], self.hidden) for i in missing]
-        if self.workers > 1 and len(missing) > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        workers = min(self.workers, len(missing))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 trained = list(pool.map(_train_job, args))
         else:
             trained = [_train_job(a) for a in args]
@@ -271,7 +249,6 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         in_models.append(trainer.many(
             [(with_point, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))
-    # The poison stage is the trainer's first user: every key so far is ours.
     plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
                       models_trained=len(trainer.keys))
     return plan, in_models, out_models
@@ -348,13 +325,12 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
 
 
 def _write_model_stats(path: str, targets, train_sets, keys: list[str],
-                       eval_ds: Dataset, cache: ModelCache) -> dict[str, float]:
-    """Per-target train/eval accuracy to ``path``; returns their means.
+                       eval_ds: Dataset, cache: ModelCache) -> None:
+    """Per-target train/eval accuracy to ``path``.
 
     Target j's pair is cached under its model key ``keys[j]`` and the eval
     set, so only a miss computes it."""
     eval_digest = dataset_digest(eval_ds)
-    train_accs, eval_accs = [], []
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model_id", "train_accuracy", "eval_accuracy"])
@@ -367,11 +343,7 @@ def _write_model_stats(path: str, targets, train_sets, keys: list[str],
                 cache.put_stats(key, tr, ev)
             else:
                 tr, ev = cached
-            train_accs.append(tr)
-            eval_accs.append(ev)
             writer.writerow([j, repr(tr), repr(ev)])
-    return {"mean_train_accuracy": float(np.mean(train_accs)),
-            "mean_eval_accuracy": float(np.mean(eval_accs))}
 
 
 def _score(cfg: ExperimentConfig, challenges: ChallengeSet, members: np.ndarray,
@@ -453,26 +425,24 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         save_dataset(pool, os.path.join(out_dir, "dataset"))
     cache = ModelCache(cache_dir if cache_dir is not None
                        else os.path.join(out_dir, "cache"))
-    trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
+    shadow_trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
+    target_trainer = TrainerPool(cfg.train, cfg.hidden_sizes, cache, cfg.workers)
     with _stage("challenges", stage_seconds):
         challenges = _pick_challenges(cfg, pool)
         _write_challenges(challenges, artifacts["challenges"])
     with _stage("poison", stage_seconds):
-        plan, in_models, out_models = _poison(cfg, pool, challenges, trainer,
+        plan, in_models, out_models = _poison(cfg, pool, challenges, shadow_trainer,
                                               k_static, game_strict)
-        # The poison stage is the trainer's first user, so every key so far
-        # is a shadow model's.
-        model_refs = [f"models/{key}" for key in trainer.keys]
-        save_poison_plan(plan, challenges, artifacts["poison_plan"], model_refs)
+        save_poison_plan(plan, challenges, artifacts["poison_plan"],
+                         [f"models/{key}" for key in shadow_trainer.keys])
     with _stage("neighborhood", stage_seconds):
         members = _build_neighborhoods(cfg, challenges, in_models, out_models,
                                        cache, artifacts["neighborhoods"])
     with _stage("targets", stage_seconds):
         target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
-                                                           plan, trainer)
-        # Every key after the shadow models' is a target's, in target order.
-        model_stats = _write_model_stats(artifacts["model_stats"], targets, train_sets,
-                                         trainer.keys[len(model_refs):], eval_ds, cache)
+                                                           plan, target_trainer)
+        _write_model_stats(artifacts["model_stats"], targets, train_sets,
+                           target_trainer.keys, eval_ds, cache)
     with _stage("scores", stage_seconds):
         scores, total_queries = _score(cfg, challenges, members, targets)
         truth = target_split[:, challenges.indices]
@@ -480,28 +450,19 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
     with _stage("metrics", stage_seconds):
         reports = _write_metrics(scores, truth, out_dir, artifacts["metrics"])
     with _stage("manifest", {}):  # untimed: its files record the stage times
-        cost = CostReport(
-            shadow_models=plan.models_trained,
-            target_models=cfg.num_target_models,
-            queries_per_challenge={a: cfg.neighborhood.size + 1 if a == CHAMELEON else 1
-                                   for a in cfg.attacks},
-            total_label_queries=total_queries,
-            stage_seconds=stage_seconds,
-            cache_hits=cache.model_counts.hits,
-            cache_misses=cache.model_counts.misses,
-            cache_corrupt=cache.model_counts.corrupt,
-            kl_cache_hits=cache.kl_counts.hits,
-            kl_cache_misses=cache.kl_counts.misses,
-            kl_cache_corrupt=cache.kl_counts.corrupt,
-            stats_cache_hits=cache.stats_counts.hits,
-            stats_cache_misses=cache.stats_counts.misses,
-            stats_cache_corrupt=cache.stats_counts.corrupt)
+        seconds = {name: round(v, 3) for name, v in stage_seconds.items()}
+        cost = {"shadow_models": plan.models_trained,
+                "target_models": cfg.num_target_models,
+                "queries_per_challenge": {a: cfg.neighborhood.size + 1 if a == CHAMELEON
+                                          else 1 for a in cfg.attacks},
+                "total_label_queries": total_queries,
+                "stage_seconds": seconds,
+                **cache.counts()}
         with open(os.path.join(out_dir, "cost.json"), "w", encoding="utf-8") as f:
-            json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
-        _write_manifest(cfg, out_dir, artifacts, stage_seconds)
+            json.dump(cost, f, indent=2, sort_keys=True)
+        _write_manifest(cfg, out_dir, artifacts, seconds)
     return GameResult(reports=reports, scores=scores, truth=truth,
-                      replica_counts=plan.replica_counts,
-                      cost=cost, out_dir=out_dir, model_stats=model_stats)
+                      replica_counts=plan.replica_counts, cost=cost, out_dir=out_dir)
 
 
 # Ablation knob -> (config section, field, cast of the value).
@@ -565,7 +526,7 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str, artifacts: dict[str, st
         "artifacts": {name: {"path": os.path.relpath(path, out_dir),
                              "sha256": file_digest(path)}
                       for name, path in sorted(artifacts.items())},
-        "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
+        "stage_seconds": stage_seconds,
     }
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         f.write(canonical_json(cfg.canonical_dict()))

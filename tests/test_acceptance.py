@@ -5,6 +5,7 @@ criteria (8, 9) train around a thousand small models and take a few minutes
 combined on one core; everything else completes in seconds.
 """
 
+import csv
 import logging
 import math
 import os
@@ -343,7 +344,10 @@ class TestCriterion9:
                 res = hr.run_privacy_game(cfg, str(tmp_path / f"dp{seed}_{nm}"),
                                           cache_dir=str(tmp_path / f"c{seed}_{nm}"))
                 aucs[nm].append(res.reports["chameleon"].auc)
-                accs[nm].append(res.model_stats["mean_eval_accuracy"])
+                with open(os.path.join(res.out_dir, "model_stats.csv"), encoding="utf-8",
+                          newline="") as f:
+                    eval_accs = [float(row["eval_accuracy"]) for row in csv.DictReader(f)]
+                accs[nm].append(float(np.mean(eval_accs)))
         elapsed = time.perf_counter() - start
         mean_auc = [float(np.mean(aucs[nm])) for nm in noise_levels]
         mean_acc = [float(np.mean(accs[nm])) for nm in noise_levels]

@@ -51,11 +51,20 @@ def tiny_config(**overrides) -> hc.ExperimentConfig:
     return hc.ExperimentConfig(**base)
 
 
+def config_json(cfg: hc.ExperimentConfig) -> str:
+    """A config file that sets every field of ``cfg``: its canonical form
+    without ``train.seed``, which the form keeps for ``config_hash`` but a
+    file may not set."""
+    doc = cfg.canonical_dict()
+    assert doc["train"].pop("seed") == 0
+    return json.dumps(doc)
+
+
 class TestConfig:
     def test_round_trip_through_json(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.canonical_dict()))
+        path.write_text(config_json(cfg))
         loaded = hc.load_config(str(path))
         assert loaded.canonical_dict() == cfg.canonical_dict()
 
@@ -133,6 +142,9 @@ class TestConfig:
         {"neighborhood": {"t_nb": float("nan")}},
         {"train": {"epochs": 2, "learning_rate": 0.1, "dp": {}}},
         {"dataset": {"class_sep": 10**400}},
+        {"workers": 0},
+        {"eval_size": 0},
+        {"train": {"epochs": 2, "learning_rate": 0.1, "seed": 3}},
     ])
     def test_bad_value_is_a_config_error_on_the_cli(self, doc, tmp_path):
         # All but the string attacks used to exit 2, some after the poison
@@ -146,6 +158,19 @@ class TestConfig:
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_train_seed_and_workers_flag_below_one_are_config_errors(self, tmp_path):
+        # A train.seed changed config_hash but no model; --workers 0 or -3
+        # trained serially.
+        with pytest.raises(hc.ConfigError, match="master_seed"):
+            hc.config_from_dict({"train": {"epochs": 2, "learning_rate": 0.1, "seed": 0}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_json(tiny_config()))
+        out = tmp_path / "run"
+        for workers in ("0", "-3"):
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                             "--workers", workers]) == 1
+            assert not out.exists()
 
     def test_binary_noise_scale_is_below_one(self, tmp_path):
         # A binary candidate flips each bit with probability noise_scale, so
@@ -237,7 +262,8 @@ class TestModelCache:
                                  (8,), cache)
         first = trainer.many([(ds, 7)])[0]
         again, _ = trainer.many([(ds, 7), (ds, 8)])
-        assert (cache.model_counts.hits, cache.model_counts.misses) == (1, 2)
+        counts = cache.counts()
+        assert (counts["cache_hits"], counts["cache_misses"]) == (1, 2)
         assert trainer.keys[0] == trainer.keys[1] != trainer.keys[2]
         assert first.dims == again.dims and np.array_equal(first.flat, again.flat)
 
@@ -279,13 +305,13 @@ class TestModelCache:
                 rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
         finally:
             logging.disable(logging.WARNING)
-        assert (rerun.cost.cache_misses, rerun.cost.cache_corrupt) == (1, 1)
+        assert (rerun.cost["cache_misses"], rerun.cost["cache_corrupt"]) == (1, 1)
         assert json.loads((tmp_path / "b" / "cost.json").read_text())["cache_corrupt"] == 1
         assert blob.stem in caplog.text
         assert ((tmp_path / "a" / "scores.csv").read_bytes()
                 == (tmp_path / "b" / "scores.csv").read_bytes())
         third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
-        assert (third.cost.cache_misses, third.cost.cache_corrupt) == (0, 0)
+        assert (third.cost["cache_misses"], third.cost["cache_corrupt"]) == (0, 0)
 
     def test_same_size_damage_is_retrained(self, tmp_path, caplog):
         # Negating every float keeps each blob's size, so only the checksum
@@ -302,14 +328,15 @@ class TestModelCache:
                 rerun = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=str(cache))
         finally:
             logging.disable(logging.WARNING)
-        assert (first.cost.cache_hits, first.cost.cache_corrupt) == (0, 0)
-        assert (rerun.cost.cache_hits, rerun.cost.cache_misses) == (0, first.cost.cache_misses)
-        assert rerun.cost.cache_corrupt == len(blobs) == first.cost.cache_misses
+        assert (first.cost["cache_hits"], first.cost["cache_corrupt"]) == (0, 0)
+        assert ((rerun.cost["cache_hits"], rerun.cost["cache_misses"])
+                == (0, first.cost["cache_misses"]))
+        assert rerun.cost["cache_corrupt"] == len(blobs) == first.cost["cache_misses"]
         assert all(blob.stem in caplog.text for blob in blobs)
         assert ((tmp_path / "a" / "scores.csv").read_bytes()
                 == (tmp_path / "b" / "scores.csv").read_bytes())
         third = hr.run_privacy_game(cfg, str(tmp_path / "c"), cache_dir=str(cache))
-        assert (third.cost.cache_misses, third.cost.cache_corrupt) == (0, 0)
+        assert (third.cost["cache_misses"], third.cost["cache_corrupt"]) == (0, 0)
 
     def test_manifest_without_checksum_is_retrained(self, tmp_path):
         # The same holds for a manifest that lost its dims.
@@ -322,7 +349,7 @@ class TestModelCache:
             assert len(doc.pop(key)) == size
             manifest.write_text(json.dumps(doc))
             rerun = hr.run_privacy_game(cfg, str(tmp_path / key), cache_dir=str(cache))
-            assert rerun.cost.cache_misses == 1, key
+            assert rerun.cost["cache_misses"] == 1, key
             assert key in json.loads(manifest.read_text())
         assert not list((cache / "models").glob("*.tmp"))
 
@@ -338,16 +365,24 @@ class TestModelCache:
         for i, text in enumerate(("[]", '"x"', "7")):
             manifest.write_text(text)
             rerun = hr.run_privacy_game(cfg, str(tmp_path / f"r{i}"), cache_dir=str(cache))
-            assert (rerun.cost.cache_misses, rerun.cost.cache_corrupt) == (1, 1), text
+            assert (rerun.cost["cache_misses"], rerun.cost["cache_corrupt"]) == (1, 1), text
             assert ((tmp_path / "a" / "scores.csv").read_bytes()
                     == (tmp_path / f"r{i}" / "scores.csv").read_bytes()), text
-        assert first.cost.cache_corrupt == 0
+        assert first.cost["cache_corrupt"] == 0
 
 
 def cache_counts(out_dir, kind: str) -> tuple[int, int, int]:
     """cost.json's hits, misses and corrupt count of one kind of cache entry."""
     cost = json.loads((out_dir / "cost.json").read_text())
     return tuple(cost[f"{kind}_cache_{count}"] for count in ("hits", "misses", "corrupt"))
+
+
+def model_stats(out_dir) -> tuple[list[float], list[float]]:
+    """model_stats.csv's train and eval accuracies, in target order."""
+    with open(out_dir / "model_stats.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    return ([float(row["train_accuracy"]) for row in rows],
+            [float(row["eval_accuracy"]) for row in rows])
 
 
 class TestKlCache:
@@ -460,7 +495,8 @@ class TestKlCache:
         cache.put_kl(base, kl, pool, kl_text(kl))
         assert all(cache.get_kl(key, 5, 3) is None for key in others)
         assert cache.get_kl(base, 5, 3)[0].tobytes() == kl.tobytes()
-        assert (cache.kl_counts.hits, cache.kl_counts.misses) == (1, len(others))
+        counts = cache.counts()
+        assert (counts["kl_cache_hits"], counts["kl_cache_misses"]) == (1, len(others))
 
     def test_cached_pool_is_the_rounded_fresh_pool(self, tmp_path):
         # Each entry's pool equals its point's gen_neighbors pool rounded to
@@ -585,7 +621,7 @@ class TestStatsCache:
         hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
         rerun = hr.run_privacy_game(replace(cfg, eval_size=20), str(tmp_path / "b"),
                                     cache_dir=cache)
-        assert rerun.cost.cache_misses == 0
+        assert rerun.cost["cache_misses"] == 0
         assert cache_counts(tmp_path / "b", "stats") == (0, cfg.num_target_models, 0)
 
 
@@ -653,8 +689,8 @@ class TestPrivacyGame:
         cache = str(tmp_path / "cache")
         first = hr.run_privacy_game(cfg, str(tmp_path / "a"), cache_dir=cache)
         second = hr.run_privacy_game(cfg, str(tmp_path / "b"), cache_dir=cache)
-        assert second.cost.cache_misses == 0
-        assert second.cost.cache_hits > 0
+        assert second.cost["cache_misses"] == 0
+        assert second.cost["cache_hits"] > 0
         for name in ("metrics.csv", "model_stats.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
@@ -668,6 +704,31 @@ class TestPrivacyGame:
             for name in ("scores.csv", "metrics.csv", "poison_plan.json"):
                 assert (serial / name).read_bytes() == (parallel / name).read_bytes(), \
                     (strict, name)
+
+    def test_pool_is_no_larger_than_the_missing_models(self, tmp_path, monkeypatch):
+        # A process pool forks all of its workers at the first submit, so
+        # workers=64 forked 64 processes to train a handful of models. The
+        # fake pool runs every job in this process and starts none.
+        calls = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                calls.append((self.max_workers, len(jobs)))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(hr, "ProcessPoolExecutor", InProcessPool)
+        hr.run_privacy_game(tiny_config(workers=64), str(tmp_path / "run"))
+        assert calls and all(workers <= jobs for workers, jobs in calls), calls
 
     def test_static_zero_equals_no_poisoning_pipeline(self, tmp_path):
         cfg = tiny_config()
@@ -698,24 +759,25 @@ class TestPrivacyGame:
         # Every model of a cold game is trained once and never read back.
         cost = hr.run_privacy_game(tiny_config(), str(tmp_path / "strict"),
                                    game_strict=True).cost
-        assert (cost.cache_hits, cost.cache_misses) == (
-            0, cost.shadow_models + cost.target_models)
+        assert (cost["cache_hits"], cost["cache_misses"]) == (
+            0, cost["shadow_models"] + cost["target_models"])
 
     def test_cost_formula_on_exhausted_run(self, tmp_path):
         # Weak models never push confidence below a tiny threshold, so the
         # loop exhausts and trains the full 2(k_max+1)m shadow set.
         cfg = tiny_config(poison=PoisonConfig(t_p=0.001, m=2, k_max=2))
         result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
-        assert result.cost.shadow_models == 2 * (2 + 1) * 2
-        assert result.cost.queries_per_challenge == {"chameleon": 9, "gap": 1}
+        assert result.cost["shadow_models"] == 2 * (2 + 1) * 2
+        assert result.cost["queries_per_challenge"] == {"chameleon": 9, "gap": 1}
         expected = (cfg.num_target_models * cfg.num_challenge_points
                     * (cfg.neighborhood.size + 1 + 1))
-        assert result.cost.total_label_queries == expected
+        assert result.cost["total_label_queries"] == expected
 
     def test_eval_accuracy_measured(self, tmp_path):
-        result = hr.run_privacy_game(tiny_config(), str(tmp_path / "run"))
-        assert 0.0 <= result.model_stats["mean_eval_accuracy"] <= 1.0
-        assert result.model_stats["mean_train_accuracy"] >= 0.25
+        hr.run_privacy_game(tiny_config(), str(tmp_path / "run"))
+        train_accs, eval_accs = model_stats(tmp_path / "run")
+        assert 0.0 <= float(np.mean(eval_accs)) <= 1.0
+        assert float(np.mean(train_accs)) >= 0.25
 
     def test_membership_balanced_per_challenge_point(self, tmp_path):
         cfg = tiny_config(num_target_models=6)
@@ -789,7 +851,7 @@ class TestScoring:
         result = hr.run_privacy_game(cfg, str(tmp_path / "one"), cache_dir=cache)
         assert max(batches) <= hr.LABEL_BATCH_ROWS
         assert batches == expected_batches(cfg, hr.LABEL_BATCH_ROWS)
-        assert sum(batches) == result.cost.total_label_queries
+        assert sum(batches) == result.cost["total_label_queries"]
 
         # A 3-row cap splits the points into runs: one point and its
         # neighbor per chameleon batch, runs of 3 points for gap.
@@ -814,7 +876,7 @@ class TestScoring:
         points, targets = cfg.num_challenge_points, cfg.num_target_models
         assert batches == expected_batches(cfg, wide)
         assert batches == [wide + 1] * points * targets + [points] * targets
-        assert sum(batches) == result.cost.total_label_queries
+        assert sum(batches) == result.cost["total_label_queries"]
 
 
 class TestBinaryModality:
@@ -904,7 +966,7 @@ class TestDeterminismContract:
             hr.run_privacy_game(replace(cfg, workers=2), str(runs[1]))
             warm = hr.run_privacy_game(cfg, str(runs[2]),
                                        cache_dir=str(runs[0] / "cache"))
-            assert warm.cost.cache_misses == 0
+            assert warm.cost["cache_misses"] == 0
             for name in CONTRACT_FILES:
                 cold, *others = [(run / name).read_bytes() for run in runs]
                 assert others == [cold, cold], name
@@ -920,7 +982,7 @@ class TestCli:
 
     def test_run_and_metrics_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        cfg_path.write_text(config_json(tiny_config()))
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -936,7 +998,7 @@ class TestCli:
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        cfg_path.write_text(config_json(tiny_config()))
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r1"), "--seed", "5"]) == 0
         assert cli.main(["run", "--config", str(cfg_path),
@@ -953,7 +1015,7 @@ class TestCli:
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        cfg_path.write_text(config_json(tiny_config()))
         monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
@@ -963,7 +1025,7 @@ class TestCli:
         cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=8, pool_size=16,
                                                              noise_scale=1e-300))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg.canonical_dict()))
+        cfg_path.write_text(config_json(cfg))
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -1023,7 +1085,7 @@ class TestCli:
 
     def test_static_and_strict_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config(num_challenge_points=2).canonical_dict()))
+        cfg_path.write_text(config_json(tiny_config(num_challenge_points=2)))
         cache = str(tmp_path / "cache")
         assert cli.main(["static", "--config", str(cfg_path), "--k", "1",
                          "--out", str(tmp_path / "s1"), "--cache", cache]) == 0
@@ -1033,7 +1095,7 @@ class TestCli:
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        cfg_path.write_text(config_json(tiny_config()))
         assert cli.main(["ablate", "--config", str(cfg_path), "--knob",
                          "neighborhood_size", "--values", "4,8",
                          "--out", str(tmp_path / "ab")]) == 0

@@ -345,7 +345,8 @@ class TestCachedFit:
         assert not cached.flags.writeable
         assert text.split("\n")[:-1] == [f"{j},{a!r},{b!r}"
                                          for j, (a, b) in enumerate(cached.T.tolist())]
-        assert (cache.kl_counts.hits, cache.kl_counts.corrupt) == (1, 0)
+        counts = cache.counts()
+        assert (counts["kl_cache_hits"], counts["kl_cache_corrupt"]) == (1, 0)
 
 
 def diagnostics_csv(indices, per_point) -> str:
