@@ -180,7 +180,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["dataset"] = _build(doc.pop("dataset"), DatasetConfig, "dataset")
     if "train" in doc:
         section = doc.pop("train")
-        if isinstance(section, dict) and "seed" in section:
+        # The canonical form writes seed 0, so a run's config.json loads back.
+        if isinstance(section, dict) and section.get("seed", 0) != 0:
             raise ConfigError("train.seed is not a setting: every model's seed "
                               "derives from master_seed")
         if isinstance(section, dict) and section.get("dp") is not None:  # null: no DP

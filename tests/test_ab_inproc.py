@@ -1,11 +1,12 @@
 """Smoke tests of tools/ab_inproc.py on the tiny game of test_harness.py."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 
-from test_harness import config_json, tiny_config
+from test_harness import tiny_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab_inproc.py")
@@ -13,7 +14,7 @@ TOOL = os.path.join(ROOT, "tools", "ab_inproc.py")
 
 def run_tool(tmp_path, b_root: str) -> subprocess.CompletedProcess:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config_json(tiny_config()))
+    cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
     return subprocess.run(
         [sys.executable, TOOL, "--a", ROOT, "--b", b_root, "--config", str(cfg_path),
          "--seed", "1", "--pairs", "2"],

@@ -5,7 +5,6 @@ criteria (8, 9) train around a thousand small models and take a few minutes
 combined on one core; everything else completes in seconds.
 """
 
-import csv
 import logging
 import math
 import os
@@ -27,6 +26,7 @@ from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import (PoisonConfig, adapt_poison_multi,
                             adapt_poison_single, make_challenge_set)
 from oracles import mean_grads, mean_loss, np_oracle, prob_correct
+from test_harness import model_stats
 
 logging.disable(logging.WARNING)
 
@@ -344,10 +344,7 @@ class TestCriterion9:
                 res = hr.run_privacy_game(cfg, str(tmp_path / f"dp{seed}_{nm}"),
                                           cache_dir=str(tmp_path / f"c{seed}_{nm}"))
                 aucs[nm].append(res.reports["chameleon"].auc)
-                with open(os.path.join(res.out_dir, "model_stats.csv"), encoding="utf-8",
-                          newline="") as f:
-                    eval_accs = [float(row["eval_accuracy"]) for row in csv.DictReader(f)]
-                accs[nm].append(float(np.mean(eval_accs)))
+                accs[nm].append(float(np.mean(model_stats(res.out_dir)[1])))
         elapsed = time.perf_counter() - start
         mean_auc = [float(np.mean(aucs[nm])) for nm in noise_levels]
         mean_acc = [float(np.mean(accs[nm])) for nm in noise_levels]

@@ -51,20 +51,11 @@ def tiny_config(**overrides) -> hc.ExperimentConfig:
     return hc.ExperimentConfig(**base)
 
 
-def config_json(cfg: hc.ExperimentConfig) -> str:
-    """A config file that sets every field of ``cfg``: its canonical form
-    without ``train.seed``, which the form keeps for ``config_hash`` but a
-    file may not set."""
-    doc = cfg.canonical_dict()
-    assert doc["train"].pop("seed") == 0
-    return json.dumps(doc)
-
-
 class TestConfig:
     def test_round_trip_through_json(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
-        path.write_text(config_json(cfg))
+        path.write_text(json.dumps(cfg.canonical_dict()))
         loaded = hc.load_config(str(path))
         assert loaded.canonical_dict() == cfg.canonical_dict()
 
@@ -163,9 +154,9 @@ class TestConfig:
         # A train.seed changed config_hash but no model; --workers 0 or -3
         # trained serially.
         with pytest.raises(hc.ConfigError, match="master_seed"):
-            hc.config_from_dict({"train": {"epochs": 2, "learning_rate": 0.1, "seed": 0}})
+            hc.config_from_dict({"train": {"epochs": 2, "learning_rate": 0.1, "seed": 3}})
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         out = tmp_path / "run"
         for workers in ("0", "-3"):
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
@@ -379,7 +370,8 @@ def cache_counts(out_dir, kind: str) -> tuple[int, int, int]:
 
 def model_stats(out_dir) -> tuple[list[float], list[float]]:
     """model_stats.csv's train and eval accuracies, in target order."""
-    with open(out_dir / "model_stats.csv", encoding="utf-8", newline="") as f:
+    with open(os.path.join(out_dir, "model_stats.csv"), encoding="utf-8",
+              newline="") as f:
         rows = list(csv.DictReader(f))
     return ([float(row["train_accuracy"]) for row in rows],
             [float(row["eval_accuracy"]) for row in rows])
@@ -982,7 +974,7 @@ class TestCli:
 
     def test_run_and_metrics_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -998,7 +990,7 @@ class TestCli:
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r1"), "--seed", "5"]) == 0
         assert cli.main(["run", "--config", str(cfg_path),
@@ -1015,7 +1007,7 @@ class TestCli:
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
@@ -1025,7 +1017,7 @@ class TestCli:
         cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=8, pool_size=16,
                                                              noise_scale=1e-300))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(cfg))
+        cfg_path.write_text(json.dumps(cfg.canonical_dict()))
         assert cli.main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -1085,7 +1077,7 @@ class TestCli:
 
     def test_static_and_strict_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config(num_challenge_points=2)))
+        cfg_path.write_text(json.dumps(tiny_config(num_challenge_points=2).canonical_dict()))
         cache = str(tmp_path / "cache")
         assert cli.main(["static", "--config", str(cfg_path), "--k", "1",
                          "--out", str(tmp_path / "s1"), "--cache", cache]) == 0
@@ -1095,7 +1087,7 @@ class TestCli:
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_json(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
         assert cli.main(["ablate", "--config", str(cfg_path), "--knob",
                          "neighborhood_size", "--values", "4,8",
                          "--out", str(tmp_path / "ab")]) == 0
