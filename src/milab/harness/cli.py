@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .. import __version__, metrics, theory
 from ..attack import read_scores_csv
 from .config import ConfigError, load_config
@@ -60,10 +62,10 @@ def cmd_theory(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """The privacy game of ``run`` (``k`` is None) and ``static`` (no
-    ``game_strict``)."""
+    """The privacy game of ``run`` (adaptive counts) and ``static`` (``k`` per point)."""
     cfg = _load_cfg(args)
-    result = run_privacy_game(cfg, args.out, cache_dir=args.cache, k_static=args.k,
+    counts = None if args.k is None else np.full(cfg.num_challenge_points, args.k)
+    result = run_privacy_game(cfg, args.out, cache_dir=args.cache, replica_counts=counts,
                               game_strict=args.game_strict)
     for attack, report in result.reports.items():
         tprs = " ".join(f"tpr@{t:g}={v:.4f}" for t, v in sorted(report.tpr_at.items()))

@@ -29,10 +29,9 @@ from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        save_dataset)
 from ..neighborhood import (DIAGNOSTICS_HEADER, diagnostics_rows, fit_kl, kl_text,
                             select_neighborhood)
-from ..poisoner import (ChallengeSet, PoisonConfig, PoisonPlan,
-                        adapt_poison_single, adapt_poison_multi,
-                        build_poisoned_training_set, make_challenge_set,
-                        save_poison_plan)
+from ..poisoner import (ChallengeSet, PoisonPlan, adapt_poison_single,
+                        adapt_poison_multi, build_poisoned_training_set,
+                        make_challenge_set, save_poison_plan)
 from ..rng import derive_seed, make_rng
 from .cache import (ModelCache, canonical_json, dataset_digest, digest, file_digest,
                     kl_key, params_digest, stats_key)
@@ -192,24 +191,19 @@ def _write_challenges(challenges: ChallengeSet, path: str) -> None:
 
 
 def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
-            trainer: TrainerPool, k_static: int | None, game_strict: bool):
-    """Adaptive, static or strict per-point adaptive poisoning.
+            trainer: TrainerPool, replica_counts: np.ndarray | None, game_strict: bool):
+    """Adaptive or strict per-point adaptive poisoning, or the given counts.
 
     Returns the plan and the poison-free IN and OUT ensembles for the
     neighborhood stage (one model list per point position)."""
     if game_strict:
         return _strict_poisoning(cfg, pool, challenges, trainer)
-    poison_seed = derive_seed(cfg.master_seed, TAG_POISON)
-    if k_static is None:
-        plan = adapt_poison_multi(challenges, pool, cfg.poison, trainer.many, poison_seed)
-    else:
-        # Static baseline still needs the poison-free shadow ensemble for
-        # the neighborhood stage; freezing every point at iteration 0
-        # trains exactly the 2m unpoisoned models (shared via the cache
-        # with any adaptive run on the same data).
-        shadow_cfg = PoisonConfig(t_p=1.0, m=cfg.poison.m, k_max=0)
-        plan = adapt_poison_multi(challenges, pool, shadow_cfg, trainer.many, poison_seed)
-        plan.replica_counts = np.full(len(challenges), k_static, dtype=np.int64)
+    # At k_max 0 the loop trains only iteration 0's 2m poison-free models.
+    poison_cfg = cfg.poison if replica_counts is None else replace(cfg.poison, k_max=0)
+    plan = adapt_poison_multi(challenges, pool, poison_cfg, trainer.many,
+                              derive_seed(cfg.master_seed, TAG_POISON))
+    if replica_counts is not None:
+        plan.replica_counts = replica_counts
     shadow = plan.shadow_models
     in_models = [[shadow[row] for row in np.flatnonzero(plan.split[:, idx])]
                  for idx in challenges.indices]
@@ -402,19 +396,22 @@ def _write_metrics(scores: dict[str, np.ndarray], truth: np.ndarray, out_dir: st
     return reports
 
 
-def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
-                     cache_dir: str | None = None, k_static: int | None = None,
+def run_privacy_game(cfg: ExperimentConfig, out_dir: str, cache_dir: str | None = None,
+                     replica_counts: np.ndarray | None = None,
                      game_strict: bool = False) -> GameResult:
     """Run the full challenger/attacker game and write all artifacts.
 
-    ``k_static`` switches the attacker to fixed-count poisoning (no adaptive
-    loop); ``game_strict`` runs the single-point adaptive procedure per
-    challenge point instead of the batched one.
+    ``replica_counts``, one non-negative int per challenge point, replaces the
+    adaptive loop's counts, so only the poison-free shadow models train;
+    ``game_strict`` runs the adaptive procedure one point at a time.
     """
-    if game_strict and k_static is not None:
-        raise ConfigError("k_static and game_strict are exclusive")
-    if k_static is not None and k_static < 0:
-        raise ConfigError("k_static must be >= 0")
+    if replica_counts is not None:
+        counts = np.asarray(replica_counts)
+        if (game_strict or counts.dtype.kind not in "iu"
+                or counts.shape != (cfg.num_challenge_points,) or (counts < 0).any()):
+            raise ConfigError(f"replica_counts must be {cfg.num_challenge_points} "
+                              "non-negative ints, and not given with game_strict")
+        replica_counts = counts.astype(np.int64)  # a copy the caller cannot change
     stage_seconds: dict[str, float] = {}
     artifacts = {name: os.path.join(out_dir, file) for name, file in ARTIFACTS.items()}
 
@@ -432,7 +429,7 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str,
         _write_challenges(challenges, artifacts["challenges"])
     with _stage("poison", stage_seconds):
         plan, in_models, out_models = _poison(cfg, pool, challenges, shadow_trainer,
-                                              k_static, game_strict)
+                                              replica_counts, game_strict)
         save_poison_plan(plan, challenges, artifacts["poison_plan"],
                          [f"models/{key}" for key in shadow_trainer.keys])
     with _stage("neighborhood", stage_seconds):

@@ -300,7 +300,8 @@ class TestCriterion8:
             adapt_tpr.append(res.reports["chameleon"].tpr_at_resolution)
             for k in static_ks:
                 rs = hr.run_privacy_game(cfg, str(tmp_path / f"s{seed}_{k}"),
-                                         cache_dir=cache, k_static=k)
+                                         cache_dir=cache,
+                                         replica_counts=np.full(cfg.num_challenge_points, k))
                 static_tpr_res[k].append(rs.reports["chameleon"].tpr_at_resolution)
                 static_tpr_5[k].append(rs.reports["chameleon"].tpr_at[0.05])
         elapsed = time.perf_counter() - start

@@ -10,9 +10,9 @@ metrics and neighbourhood diagnostics, the poison plan (replica counts, split
 bits and the cache keys of the shadow models), the targets' accuracies in
 ``model_stats.csv`` and the pool's ``dataset.bin`` blob. Besides the
 batched adaptive game, ``GAME_ARGS`` pins the per-point strict game and the
-static baseline, which reach the neighbourhood stage through their own poison
-paths, and a ``kind: csv`` game, whose pool is read from a CSV written from a
-seeded gaussian mixture and doubles as its evaluation data. The tiny games
+static baseline, which takes its replica counts as an input, and a
+``kind: csv`` game, whose pool is read from a CSV written from a seeded
+gaussian mixture and doubles as its evaluation data. The tiny games
 all train without weight decay, so ``MODELS`` adds four models trained
 directly with ``nncore.train``: one with weight decay, two hidden layers and
 a ragged last batch; one with DP-SGD noise; one with DP-SGD noise, two hidden
@@ -28,6 +28,7 @@ import hashlib
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from milab import nncore
@@ -75,10 +76,11 @@ CONFIGS = {
 }
 
 # Keyword arguments of ``run_privacy_game`` beyond the config: the per-point
-# strict game and the static baseline each take their own poison path.
+# strict game takes its own poison path, and the static baseline takes its
+# replica counts as an input.
 GAME_ARGS = {
     "strict": {"game_strict": True},
-    "static_k2": {"k_static": 2},
+    "static_k2": {"replica_counts": np.full(CONFIGS["static_k2"].num_challenge_points, 2)},
 }
 
 GOLDEN = {

@@ -25,6 +25,7 @@ from milab.neighborhood import kl_text
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 from milab.rng import derive_seed
+from test_golden import CHECKED, CONFIGS, GOLDEN
 
 logging.disable(logging.WARNING)
 
@@ -725,21 +726,43 @@ class TestPrivacyGame:
     def test_static_zero_equals_no_poisoning_pipeline(self, tmp_path):
         cfg = tiny_config()
         cache = str(tmp_path / "cache")
-        hr.run_privacy_game(cfg, str(tmp_path / "s0"), cache_dir=cache, k_static=0)
+        hr.run_privacy_game(cfg, str(tmp_path / "s0"), cache_dir=cache,
+                            replica_counts=np.full(3, 0))
         no_poison = replace(cfg, poison=replace(cfg.poison, t_p=1.0))
         hr.run_privacy_game(no_poison, str(tmp_path / "np"), cache_dir=cache)
         assert ((tmp_path / "s0" / "scores.csv").read_bytes()
                 == (tmp_path / "np" / "scores.csv").read_bytes())
 
     def test_static_counts_are_fixed(self, tmp_path):
-        result = hr.run_privacy_game(tiny_config(), str(tmp_path / "s2"), k_static=2)
+        result = hr.run_privacy_game(tiny_config(), str(tmp_path / "s2"),
+                                     replica_counts=np.full(3, 2))
         assert result.replica_counts.tolist() == [2, 2, 2]
 
-    def test_negative_k_static_rejected_before_any_write(self, tmp_path):
+    @pytest.mark.parametrize("counts, strict", [
+        (np.full(2, 1), False),
+        (np.full(4, 1), False),
+        (np.full((3, 1), 1), False),
+        (np.full(3, 1.0), False),
+        (np.full(3, True), False),
+        (np.array([1, -1, 1]), False),
+        (np.full(3, 1), True),
+    ], ids=["short", "long", "2d", "float", "bool", "negative", "strict"])
+    def test_bad_replica_counts_rejected_before_any_write(self, counts, strict, tmp_path):
         out = tmp_path / "run"
-        with pytest.raises(hc.ConfigError, match="k_static must be >= 0"):
-            hr.run_privacy_game(tiny_config(), str(out), k_static=-1)
+        with pytest.raises(hc.ConfigError, match="replica_counts must be 3 non-negative"):
+            hr.run_privacy_game(tiny_config(), str(out), replica_counts=counts,
+                                game_strict=strict)
         assert not out.exists()
+
+    def test_given_counts_are_copied(self, tmp_path):
+        # The game keeps its own int64 copy: changing the caller's array
+        # afterwards changes nothing the game returned.
+        counts = np.full(3, 1, dtype=np.int32)
+        result = hr.run_privacy_game(tiny_config(), str(tmp_path / "run"),
+                                     replica_counts=counts)
+        counts[:] = 0
+        assert result.replica_counts.dtype == np.int64
+        assert result.replica_counts.tolist() == [1, 1, 1]
 
     def test_game_strict_mode_runs(self, tmp_path):
         cfg = tiny_config(num_challenge_points=2)
@@ -780,7 +803,7 @@ class TestPrivacyGame:
 
     def test_poison_plan_references_model_files(self, tmp_path):
         # One ref per shadow model on every poison path: adaptive, static, strict.
-        for name, kwargs in (("adaptive", {}), ("static", {"k_static": 2}),
+        for name, kwargs in (("adaptive", {}), ("static", {"replica_counts": np.full(3, 2)}),
                              ("strict", {"game_strict": True})):
             out = tmp_path / name
             hr.run_privacy_game(tiny_config(), str(out), **kwargs)
@@ -806,6 +829,40 @@ class TestPrivacyGame:
             num_target_models=8, num_challenge_points=8)
         result = hr.run_privacy_game(cfg, str(tmp_path / "run"))
         assert abs(result.reports["chameleon"].auc - 0.5) < 0.17
+
+
+class TestGivenCounts:
+    """A game given replica counts trains only the poison-free shadow models
+    and otherwise writes the bytes of the game whose counts it replays."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "binary", "static_k2"])
+    def test_adaptive_counts_passed_back_give_the_same_bytes(self, name, tmp_path):
+        cfg, cache = CONFIGS[name], str(tmp_path / "cache")
+        adaptive, given = tmp_path / "adaptive", tmp_path / "given"
+        counts = hr.run_privacy_game(cfg, str(adaptive), cache_dir=cache).replica_counts
+        hr.run_privacy_game(cfg, str(given), cache_dir=cache, replica_counts=counts)
+        for file in ("scores.csv", "metrics.csv", "neighborhood_diagnostics.csv",
+                     "model_stats.csv"):
+            assert (adaptive / file).read_bytes() == (given / file).read_bytes(), file
+        cost = json.loads((given / "cost.json").read_text())
+        assert (cost["shadow_models"], cost["cache_misses"]) == (2 * cfg.poison.m, 0)
+        plans = [json.loads((run / "poison_plan.json").read_text())
+                 for run in (adaptive, given)]
+        assert plans[1]["iterations_run"] == 0
+        assert plans[1]["models"] == plans[0]["models"][:2 * cfg.poison.m]
+        for plan in plans:
+            del plan["iterations_run"], plan["models"]
+        assert plans[0] == plans[1]
+
+    def test_static_cli_writes_the_pinned_fixed_counts_game(self, tmp_path, capsys):
+        # The golden static_k2 game is run_privacy_game(replica_counts=np.full(n, 2)).
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "static"
+        cfg_path.write_text(json.dumps(CONFIGS["static_k2"].canonical_dict()))
+        assert cli.main(["static", "--config", str(cfg_path), "--k", "2",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+                for file in CHECKED} == GOLDEN["static_k2"]
 
 
 def expected_batches(cfg: hc.ExperimentConfig, cap: int) -> list[int]:
@@ -1084,6 +1141,15 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path), "--game-strict",
                          "--out", str(tmp_path / "strict"), "--cache", cache]) == 0
         capsys.readouterr()
+
+    def test_negative_static_k_exits_1_before_any_write(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        out = tmp_path / "s"
+        assert cli.main(["static", "--config", str(cfg_path), "--k", "-1",
+                         "--out", str(out)]) == 1
+        assert "replica_counts must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
