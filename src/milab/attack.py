@@ -73,10 +73,16 @@ def write_scores_csv(path: str, scores: dict[str, np.ndarray], truth: np.ndarray
 def read_scores_csv(path: str) -> dict[str, tuple[list[float], list[float]]]:
     """Per attack, its (member, non-member) scores in file order.
 
-    Raises ValueError when a score is outside [0, 1]."""
+    Raises ValueError when the header lacks an ``attack``, ``truth`` or
+    ``score`` column, or a score is outside [0, 1]."""
     split: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        missing = [col for col in ("attack", "truth", "score")
+                   if col not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"no {', '.join(missing)} column")
+        for row in reader:
             score = float(row["score"])
             if not 0 <= score <= 1:
                 raise ValueError("score must be in [0, 1]")

@@ -159,16 +159,21 @@ def gen_neighbors(x: np.ndarray, modality: str, count: int,
 DATASET_FORMAT = "milab-dataset-v1"
 
 
-def save_dataset(ds: Dataset, stem: str) -> None:
-    """Save ``ds`` as a ``nncore.save_entry`` entry under ``stem``: the blob
-    is little-endian float32 features (row-major) followed by uint16 labels."""
+def dataset_blob(ds: Dataset) -> bytes:
+    """The bytes of ``ds``: little-endian float32 features (row-major)
+    followed by little-endian uint16 labels."""
     if ds.num_classes > 65535:
         raise ValueError("uint16 labels cannot hold this many classes")
-    blob = (np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
+    return (np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
             + np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
-    save_entry(stem, blob, {"format": DATASET_FORMAT, "n": len(ds), "dim": ds.dim,
-                            "num_classes": ds.num_classes,
-                            "feature_dtype": "<f4", "label_dtype": "<u2"})
+
+
+def save_dataset(ds: Dataset, stem: str) -> None:
+    """Save ``ds`` as a ``nncore.save_entry`` entry under ``stem`` whose
+    blob is ``dataset_blob(ds)``."""
+    save_entry(stem, dataset_blob(ds),
+               {"format": DATASET_FORMAT, "n": len(ds), "dim": ds.dim,
+                "num_classes": ds.num_classes, "feature_dtype": "<f4", "label_dtype": "<u2"})
 
 
 def load_dataset(stem: str) -> Dataset:
@@ -191,8 +196,9 @@ def load_csv_dataset(path: str) -> Dataset:
     the class count is the largest label plus one.
 
     Raises ValueError when the file has no data rows, a row's length differs
-    from the header's, a cell does not parse, a label is out of range, or
-    the labels span fewer than 2 classes."""
+    from the header's, a cell does not parse, a label is out of range or
+    above 65534 (``dataset_blob`` stores labels as uint16), or the labels
+    span fewer than 2 classes."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -206,6 +212,9 @@ def load_csv_dataset(path: str) -> Dataset:
             raise ValueError(f"data row {i} has {len(row)} fields, the header {len(header)}")
     feats = np.array([[float(v) for v in row[:-1]] for row in rows])
     labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
+    if labels.max() > 65534:
+        raise ValueError(f"label {labels.max()} is above 65534: uint16 labels "
+                         "hold at most 65535 classes")
     ds = Dataset(feats, labels, int(labels.max()) + 1)
     if ds.num_classes < 2:
         raise ValueError("labels span fewer than 2 classes")

@@ -2,7 +2,7 @@
 and target models' accuracies.
 
 Cache keys are sha256 digests of everything the artifact depends on: for a
-model, a canonical-JSON description of its training-set content hash,
+model, a canonical-JSON description of its training set's ``dataset_digest``,
 training config, architecture and seed; for a point's KL fit, the point, its
 label, the recipe of its candidate pool (modality, pool size, noise scale and
 seed) and the parameters of its IN and OUT shadow models.  So ablations
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import nncore
-from ..datagen import Dataset
+from ..datagen import Dataset, dataset_blob
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,9 @@ def file_digest(path: str) -> str:
 
 
 def dataset_digest(ds: Dataset) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
-    h.update(np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
+    """sha256 of ``dataset_blob(ds)``, the bytes ``save_dataset`` writes,
+    then of the class count."""
+    h = hashlib.sha256(dataset_blob(ds))
     h.update(str(ds.num_classes).encode())
     return h.hexdigest()
 

@@ -45,11 +45,11 @@ def _load_cfg(args) -> "ExperimentConfig":
 
 
 def cmd_theory(args) -> int:
-    if args.k is not None:
-        points = theory.tpr_vs_k_curve(args.tau, args.classes, args.fpr, [args.k])
-    else:
-        points = theory.tpr_vs_k_curve(args.tau, args.classes, args.fpr,
-                                       range(args.k_max + 1))
+    ks = [args.k] if args.k is not None else range(args.k_max + 1)
+    try:
+        points = theory.tpr_vs_k_curve(args.tau, args.classes, args.fpr, ks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     lines = ["k,tpr,p,fpr"]
     lines += [f"{pt.k},{pt.tpr!r},{pt.p!r},{pt.fpr!r}" for pt in points]
     text = "\n".join(lines) + "\n"
@@ -92,9 +92,12 @@ def cmd_cost(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    split = read_scores_csv(args.scores)
-    for attack in sorted(split):
-        report = metrics.compute_report(*split[attack])
+    try:
+        split = read_scores_csv(args.scores)
+        reports = {attack: metrics.compute_report(*split[attack]) for attack in sorted(split)}
+    except ValueError as exc:
+        raise ConfigError(f"bad scores file {args.scores}: {exc}") from None
+    for attack, report in reports.items():
         print(f"{attack}: {json.dumps(report.to_dict(), sort_keys=True)}")
     return 0
 

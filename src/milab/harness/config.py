@@ -43,8 +43,9 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv datasets need csv_path")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+        if not 2 <= self.num_classes <= 65535:
+            raise ConfigError("num_classes must be in [2, 65535], the classes "
+                              "uint16 labels hold")
         if self.kind == "gaussian" and self.dim < self.num_classes:
             raise ConfigError("gaussian datasets put one class mean per axis, "
                               "so dim must be >= num_classes")

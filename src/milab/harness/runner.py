@@ -30,8 +30,8 @@ from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
 from ..neighborhood import (DIAGNOSTICS_HEADER, diagnostics_rows, fit_kl, kl_text,
                             select_neighborhood)
 from ..poisoner import (ChallengeSet, PoisonPlan, adapt_poison_single,
-                        adapt_poison_multi, build_poisoned_training_set,
-                        make_challenge_set, save_poison_plan)
+                        adapt_poison_multi, make_challenge_set, save_poison_plan,
+                        with_copies)
 from ..rng import derive_seed, make_rng
 from .cache import (ModelCache, canonical_json, dataset_digest, digest, file_digest,
                     kl_key, params_digest, stats_key)
@@ -238,10 +238,9 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         counts[pos] = adapt_poison_single(
             (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
             train_out, seed=seed_i)
-        with_point = Dataset(np.concatenate([d_i.features, x[None, :]]),
-                             np.concatenate([d_i.labels, [y]]), pool.num_classes)
+        d_in = with_copies(d_i, x[None, :], [y], [1])
         in_models.append(trainer.many(
-            [(with_point, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
+            [(d_in, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))
     plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
                       models_trained=len(trainer.keys))
@@ -310,8 +309,8 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
     for idx in challenges.indices:
         assert split[:, idx].sum() == half, \
             "challenge membership must be balanced across target models"
-    train_sets = [build_poisoned_training_set(pool.subset(np.flatnonzero(row)),
-                                              plan.replica_counts, challenges)
+    train_sets = [with_copies(pool.subset(np.flatnonzero(row)), challenges.features,
+                              challenges.poisoned_labels, plan.replica_counts)
                   for row in split]
     seeds = [derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)
              for j in range(cfg.num_target_models)]

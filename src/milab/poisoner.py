@@ -86,17 +86,18 @@ class PoisonPlan:
     split: np.ndarray | None = None
 
 
-def build_poisoned_training_set(base: Dataset, counts: np.ndarray,
-                                challenges: ChallengeSet) -> Dataset:
-    """Base dataset plus counts[i] copies of (x_i, y'_i), ascending index."""
-    if len(counts) != len(challenges):
-        raise ValueError("replica counts misaligned with challenge set")
+def with_copies(base: Dataset, features: np.ndarray, labels, counts) -> Dataset:
+    """``base`` followed by ``counts[i]`` copies of the row
+    ``(features[i], labels[i])``, in ascending i; ``base`` itself when every
+    count is 0."""
+    if not len(features) == len(labels) == len(counts):
+        raise ValueError("replica counts misaligned with their rows")
     if not np.any(counts):
         return base
-    reps = np.repeat(np.arange(len(challenges)), counts)
-    feats = np.concatenate([base.features, challenges.features[reps]])
-    labels = np.concatenate([base.labels, challenges.poisoned_labels[reps]])
-    return Dataset(feats, labels, base.num_classes)
+    reps = np.repeat(np.arange(len(counts)), counts)
+    return Dataset(np.concatenate([base.features, features[reps]]),
+                   np.concatenate([base.labels, np.asarray(labels)[reps]]),
+                   base.num_classes)
 
 
 def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
@@ -117,13 +118,7 @@ def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
         raise ValueError("challenge point must not be in the attacker dataset")
 
     for k in range(cfg.k_max + 1):
-        if k == 0:
-            train_set = d_adv
-        else:
-            feats = np.concatenate([d_adv.features, np.tile(x, (k, 1))])
-            labels = np.concatenate([d_adv.labels,
-                                     np.full(k, poisoned_label, dtype=np.int64)])
-            train_set = Dataset(feats, labels, d_adv.num_classes)
+        train_set = with_copies(d_adv, x[None, :], [poisoned_label], [k])
         models = train([(train_set, derive_seed(seed, k, j)) for j in range(cfg.m)])
         if float(np.mean([model.predict_proba(x)[y] for model in models])) <= cfg.t_p:
             return k
@@ -157,20 +152,18 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     out = ~split[:, challenges.indices]
     assert (out.sum(axis=0) == cfg.m).all(), "split plan must give m OUT models per point"
     out_col = np.cumsum(out, axis=0) - 1
+    subsets = [d_adv.subset(np.flatnonzero(row)) for row in split]
 
     iterations_run = 0
     for iteration in range(cfg.k_max + 1):
         iterations_run = iteration
-        poisoned = build_poisoned_training_set(d_adv, counts, challenges)
-        extra = np.arange(len(d_adv), len(poisoned))
-        jobs = []
-        for row in range(2 * cfg.m):
-            subset_idx = np.flatnonzero(split[row])
-            train_set = poisoned.subset(np.concatenate([subset_idx, extra]))
-            jobs.append((train_set, derive_seed(seed, 1 + iteration, row)))
         # The 2m trainings inside one iteration are independent; the trainer
-        # may fan them out, iterations stay sequential.
-        models = train(jobs)
+        # may fan them out, iterations stay sequential. The job list lives
+        # only for the call, so no iteration's training sets outlive it.
+        models = train([(with_copies(subset, challenges.features,
+                                     challenges.poisoned_labels, counts),
+                         derive_seed(seed, 1 + iteration, row))
+                        for row, subset in enumerate(subsets)])
         models_trained += len(models)
         if iteration == 0:
             shadow_models = models

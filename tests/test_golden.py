@@ -4,8 +4,12 @@ trained models' parameter blobs, pinned across code versions.
 A rerun of the same code is byte-identical (``TestCriterion10``); these
 digests also pin the bytes against earlier versions of the code, so a change
 meant to be a pure refactor or speed-up that moves one float fails here. The
-digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); another BLAS
-build may round matrix products differently. Each game pins its scores,
+digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64) and hold
+only under the BLAS kernels they were checked on. That OpenBLAS build picks
+its kernel per CPU: the SkylakeX and Haswell kernels gave the same logits,
+but under the Sandybridge kernel the gaussian, csv, dp_workers2, static_k2
+and strict games fail on ``neighborhood_diagnostics.csv``. Another BLAS
+build may round matrix products differently too. Each game pins its scores,
 metrics and neighbourhood diagnostics, the poison plan (replica counts, split
 bits and the cache keys of the shadow models), the targets' accuracies in
 ``model_stats.csv`` and the pool's ``dataset.bin`` blob. Besides the

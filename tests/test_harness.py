@@ -271,6 +271,14 @@ class TestModelCache:
         other = gen_gaussian_mixture(3, 6, 10, 2.0, seed=1)
         assert cache.model_key(other, cfg, (8,)) != base
 
+    def test_dataset_digest_hashes_the_saved_blob(self, tmp_path):
+        from milab.datagen import gen_binary_tabular, save_dataset
+
+        ds = gen_binary_tabular(3, 8, 5, 0.1, seed=2)
+        save_dataset(ds, str(tmp_path / "data"))
+        blob = (tmp_path / "data.bin").read_bytes()
+        assert hcache.dataset_digest(ds) == hashlib.sha256(blob + b"3").hexdigest()
+
     def test_every_manifest_carries_its_config_hash(self, tmp_path):
         cfg = tiny_config(num_challenge_points=2)
         cache = tmp_path / "cache"
@@ -1124,6 +1132,52 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "more challenge points than pool points" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "csv", "label": 70000},
+        {"kind": "binary", "num_classes": 65536},
+    ], ids=["csv_label_70000", "binary_65536_classes"])
+    def test_class_count_beyond_uint16_writes_nothing(self, tmp_path, capsys, dataset):
+        dataset = dict(dataset)
+        if dataset["kind"] == "csv":
+            rows = [f"{i % 3}.5,{i % 2}" for i in range(39)]
+            rows.append(f"0.25,{dataset.pop('label')}")
+            csv_path = tmp_path / "wide.csv"
+            csv_path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+            dataset["csv_path"] = str(csv_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": dataset, "num_challenge_points": 2}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, why", [
+        (["theory", "--tau", "0"], "tau must be > 0"),
+        (["theory", "--classes", "1"], "num_classes must be >= 2"),
+        (["theory", "--fpr", "2"], "x_prime must be in [0, 1]"),
+        (["theory", "--k", "-1"], "k must be >= 0"),
+        (["theory", "--k-max", "-1"], "k_range must be non-empty"),
+        (["metrics", "no_score.csv"], "no score column"),
+        (["metrics", "score_above_one.csv"], "score must be in [0, 1]"),
+        (["metrics", "no_out_rows.csv"], "empty score list"),
+    ], ids=["tau_0", "classes_1", "fpr_2", "k_negative", "k_max_negative",
+            "no_score_column", "score_above_one", "no_out_rows"])
+    def test_bad_theory_or_metrics_input_exits_1(self, tmp_path, capsys, argv, why):
+        scores = {
+            "no_score.csv": "attack,challenge_index,model_id,truth\ngap,0,0,1\n",
+            "score_above_one.csv": "attack,challenge_index,model_id,truth,score\n"
+                                   "gap,0,0,1,1.5\ngap,1,0,0,0.0\n",
+            "no_out_rows.csv": "attack,challenge_index,model_id,truth,score\n"
+                               "gap,0,0,1,1.0\n",
+        }
+        if argv[0] == "metrics":
+            path = tmp_path / argv[1]
+            path.write_text(scores[argv[1]])
+            argv = ["metrics", "--scores", str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and why in err, err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

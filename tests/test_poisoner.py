@@ -263,18 +263,22 @@ class TestAdaptPoisonMulti:
             assert int(np.sum(matches & (ts.labels == y_p))) == 0
 
 
-class TestBuildPoisonedTrainingSet:
+class TestWithCopies:
+    @staticmethod
+    def poison(ds, challenges, counts):
+        return po.with_copies(ds, challenges.features, challenges.poisoned_labels, counts)
+
     def test_zero_counts_is_identity(self):
         ds = base_dataset(n=8)
         challenges = po.make_challenge_set(ds, [1, 3])
-        out = po.build_poisoned_training_set(ds, np.zeros(2, dtype=np.int64), challenges)
+        out = self.poison(ds, challenges, np.zeros(2, dtype=np.int64))
         assert np.array_equal(out.features, ds.features)
         assert np.array_equal(out.labels, ds.labels)
 
     def test_single_point_appends_replicas(self):
         ds = base_dataset(n=8)
         challenges = po.make_challenge_set(ds, [2])
-        out = po.build_poisoned_training_set(ds, np.array([3]), challenges)
+        out = self.poison(ds, challenges, np.array([3]))
         assert len(out) == 11
         y_p = challenges.poisoned_labels[0]
         assert np.all(out.labels[8:] == y_p)
@@ -283,7 +287,7 @@ class TestBuildPoisonedTrainingSet:
     def test_replicas_grouped_in_ascending_index_order(self):
         ds = base_dataset(n=6)
         challenges = po.make_challenge_set(ds, [0, 4])
-        out = po.build_poisoned_training_set(ds, np.array([1, 2]), challenges)
+        out = self.poison(ds, challenges, np.array([1, 2]))
         assert len(out) == 9
         np.testing.assert_array_equal(out.features[6], challenges.features[0])
         np.testing.assert_array_equal(out.features[7], challenges.features[1])
@@ -293,7 +297,21 @@ class TestBuildPoisonedTrainingSet:
         ds = base_dataset(n=6)
         challenges = po.make_challenge_set(ds, [0, 4])
         with pytest.raises(ValueError):
-            po.build_poisoned_training_set(ds, np.ones(3, dtype=np.int64), challenges)
+            self.poison(ds, challenges, np.ones(3, dtype=np.int64))
+
+    def test_all_zero_counts_return_the_base_object(self):
+        ds = base_dataset(n=6)
+        challenges = po.make_challenge_set(ds, [0, 4])
+        assert self.poison(ds, challenges, [0, 0]) is ds
+
+    def test_one_true_label_copy_is_the_strict_in_layout(self):
+        ds = base_dataset(n=6)
+        x, y = ds.features[2] + 0.5, int(ds.labels[2])
+        out = po.with_copies(ds, x[None, :], [y], [1])
+        np.testing.assert_array_equal(out.features,
+                                      np.concatenate([ds.features, x[None, :]]))
+        np.testing.assert_array_equal(out.labels, np.append(ds.labels, y))
+        assert out.num_classes == ds.num_classes
 
 
 class TestChallengeSet:
