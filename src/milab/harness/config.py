@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 from .. import datagen
 from ..attack import CHAMELEON, GAP
-from ..nncore import DpConfig, TrainConfig
+from ..nncore import TrainConfig
 from ..poisoner import PoisonConfig
 
 
@@ -106,7 +107,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown attacks: {sorted(unknown)}")
         if not self.attacks or len(set(self.attacks)) != len(self.attacks):
             raise ConfigError("attacks must be non-empty and distinct")
+        # The canonical form writes seed 0, so a run's config.json loads back.
+        if self.train.seed != 0:
+            raise ConfigError("train.seed is not a setting: every model's seed "
+                              "derives from master_seed")
         d = self.dataset
+        # A CSV pool doubles as the eval set; generated data draws
+        # eval_size / num_classes eval points per class.
+        if d.kind != "csv" and self.eval_size % d.num_classes:
+            raise ConfigError(f"eval_size must be a multiple of num_classes "
+                              f"({d.num_classes}), got {self.eval_size}")
         if d.kind != "csv" and self.num_challenge_points > d.num_classes * d.n_per_class:
             raise ConfigError("more challenge points than pool points")
         # A binary candidate flips each bit with this probability; at 1 or
@@ -142,65 +152,48 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-# Field annotation -> check of a JSON value and what the check asks for.
-_VALUE_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a finite number")}
-
-# List fields of the experiment -> what the list must hold.
-_LIST_FIELDS = {"hidden_sizes": "a list of positive ints",
-                "attacks": "a list of attack names"}
+# Scalar field type -> check of a JSON value and what the check asks for.
+_VALUE_CHECKS = {int: (_is_int, "an integer"), float: (_is_number, "a finite number"),
+                 str: (lambda value: isinstance(value, str), "a string")}
 
 
-def _build(section: dict, cls, name: str):
-    """``cls(**section)``, after checking that each ``int`` or ``float``
-    field holds one (or null, where the annotation allows ``None``)."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
-    for f in fields(cls):
-        kind, _, optional = str(f.type).partition(" | ")
-        if kind not in _VALUE_CHECKS or f.name not in section:
-            continue
-        check, what = _VALUE_CHECKS[kind]
-        value = section[f.name]
-        if not (check(value) or (value is None and optional == "None")):
-            raise ConfigError(f"bad {name} section: {f.name} must be {what}, "
-                              f"got {value!r}")
+def _build(doc, cls, name: str):
+    """``cls`` from its JSON object ``doc``, field by field: a dataclass from
+    its own object, a tuple from a list, a scalar checked by its type; null
+    only where the type allows ``None``. ``name`` is the section's path."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"bad {name} section: expected an object, got {doc!r}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(doc)
+    for key, value in doc.items():
+        kind = hints[key]
+        if type(None) in typing.get_args(kind):  # X | None
+            if value is None:
+                continue
+            kind = typing.get_args(kind)[0]
+        if is_dataclass(kind):
+            kwargs[key] = _build(value, kind, key if cls is ExperimentConfig
+                                 else f"{name}.{key}")
+        elif typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            if not (isinstance(value, list) and all(map(_VALUE_CHECKS[item][0], value))):
+                raise ConfigError(f"bad {name} section: {key} must be a list of "
+                                  f"{item.__name__}, got {value!r}")
+            kwargs[key] = tuple(value)
+        elif not _VALUE_CHECKS[kind][0](value):
+            raise ConfigError(f"bad {name} section: {key} must be "
+                              f"{_VALUE_CHECKS[kind][1]}, got {value!r}")
     try:
-        return cls(**section)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(doc)
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    if "dataset" in doc:
-        kwargs["dataset"] = _build(doc.pop("dataset"), DatasetConfig, "dataset")
-    if "train" in doc:
-        section = doc.pop("train")
-        # The canonical form writes seed 0, so a run's config.json loads back.
-        if isinstance(section, dict) and section.get("seed", 0) != 0:
-            raise ConfigError("train.seed is not a setting: every model's seed "
-                              "derives from master_seed")
-        if isinstance(section, dict) and section.get("dp") is not None:  # null: no DP
-            section = {**section, "dp": _build(section["dp"], DpConfig, "train.dp")}
-        kwargs["train"] = _build(section, TrainConfig, "train")
-    if "poison" in doc:
-        kwargs["poison"] = _build(doc.pop("poison"), PoisonConfig, "poison")
-    if "neighborhood" in doc:
-        kwargs["neighborhood"] = _build(doc.pop("neighborhood"),
-                                        NeighborhoodConfig, "neighborhood")
-    for key, what in _LIST_FIELDS.items():
-        if key in doc:
-            value = doc.pop(key)
-            if not isinstance(value, list):
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
-            kwargs[key] = tuple(value)
-    kwargs.update(doc)
-    return _build(kwargs, ExperimentConfig, "experiment")
+    return _build(doc, ExperimentConfig, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -171,8 +171,8 @@ def _make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError("more challenge points than pool points")
     if cfg.dataset.kind == "csv":
         return pool, pool
-    eval_per_class = max(1, cfg.eval_size // cfg.dataset.num_classes)
-    return pool, _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_EVAL), eval_per_class)
+    return pool, _gen_dataset(cfg, derive_seed(cfg.master_seed, TAG_EVAL),
+                              cfg.eval_size // cfg.dataset.num_classes)
 
 
 def _pick_challenges(cfg: ExperimentConfig, pool: Dataset) -> ChallengeSet:
@@ -488,6 +488,8 @@ def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
     if knob not in ABLATION_KNOBS:
         raise ConfigError(f"unknown ablation knob {knob!r}; "
                           f"expected one of {tuple(ABLATION_KNOBS)}")
+    if not values:
+        raise ConfigError("an ablation needs at least one value")
     variants = [(value, _apply_knob(cfg, knob, value)) for value in values]
     cache_dir = cache_dir if cache_dir is not None else os.path.join(out_root, "cache")
     rows = []
@@ -502,13 +504,11 @@ def run_ablation(cfg: ExperimentConfig, knob: str, values, out_root: str,
             for target, tpr in sorted(report.tpr_at.items()):
                 row[f"tpr_at_{target}"] = tpr
             rows.append(row)
-    if rows:
-        path = os.path.join(out_root, "ablation.csv")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+    with open(os.path.join(out_root, "ablation.csv"), "w", encoding="utf-8",
+              newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     return rows
 
 

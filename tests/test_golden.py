@@ -67,7 +67,7 @@ CONFIGS = {
     "binary": _tiny(dataset=hc.DatasetConfig(kind="binary", num_classes=3, dim=12,
                                              n_per_class=12),
                     neighborhood=hc.NeighborhoodConfig(size=8, pool_size=16),
-                    num_challenge_points=4),
+                    num_challenge_points=4, eval_size=39),
     "dp_workers2": _tiny(train=TrainConfig(epochs=6, learning_rate=0.1, batch_size=16,
                                            dp=DpConfig(clip_norm=2.0, noise_multiplier=0.5)),
                          workers=2),

@@ -205,8 +205,8 @@ class TestConfig:
              "--out", str(tmp_path / "run"), "--paper-scale"])
         cfg = cli._load_cfg(args)
         assert (cfg.num_challenge_points, cfg.dataset.n_per_class) == (500, 100)
-        assert tiny_config(dataset=hc.DatasetConfig(num_classes=7)).paper_scale() \
-            .dataset.n_per_class == 143
+        assert tiny_config(dataset=hc.DatasetConfig(num_classes=7), eval_size=42) \
+            .paper_scale().dataset.n_per_class == 143
 
     def test_more_challenge_points_than_pool_points_rejected(self, tmp_path):
         with pytest.raises(hc.ConfigError):
@@ -237,6 +237,51 @@ class TestConfig:
             cfg_path.write_text(json.dumps({"attacks": attacks}))
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("doc, section", [
+        ({"dataset": {"classes": 4}}, "dataset"),
+        ({"train": {"epochs": 2, "learning_rate": 0.1, "lr": 0.1}}, "train"),
+        ({"train": {"epochs": 2, "learning_rate": 0.1, "dp": {"clip": 1.0}}}, "train.dp"),
+        ({"poison": {"tp": 0.1}}, "poison"),
+        ({"neighborhood": {"t": 0.5}}, "neighborhood"),
+        ({"seed": 3}, "config"),
+    ])
+    def test_unknown_key_names_its_section(self, doc, section):
+        with pytest.raises(hc.ConfigError, match=rf"^unknown {section} keys: \['"):
+            hc.config_from_dict(doc)
+
+    def test_text_fields_must_be_strings(self):
+        # An int csv_path was opened as a file descriptor.
+        for dataset, field in (({"kind": "csv", "csv_path": 3}, "csv_path"),
+                               ({"kind": 5}, "kind")):
+            with pytest.raises(hc.ConfigError, match=f"{field} must be a string"):
+                hc.config_from_dict({"dataset": dataset})
+
+    def test_train_seed_is_checked_on_a_config_built_in_python(self):
+        with pytest.raises(hc.ConfigError, match="master_seed"):
+            hc.ExperimentConfig(train=TrainConfig(epochs=1, learning_rate=0.1, seed=3))
+
+    def test_round_trip_of_nested_and_list_fields(self):
+        cfg = tiny_config(
+            hidden_sizes=(16, 8), attacks=(GAP,),
+            train=TrainConfig(epochs=2, learning_rate=0.1,
+                              dp=DpConfig(clip_norm=2.0, noise_multiplier=0.5)),
+            neighborhood=hc.NeighborhoodConfig(size=4, pool_size=8, noise_scale=0.3))
+        loaded = hc.config_from_dict(json.loads(json.dumps(cfg.canonical_dict())))
+        assert loaded == cfg
+
+    def test_eval_size_is_a_multiple_of_the_class_count(self):
+        with pytest.raises(hc.ConfigError, match="multiple of num_classes"):
+            tiny_config(eval_size=42)  # 4 classes
+        # A CSV pool doubles as the eval set, so its eval_size is not used.
+        tiny_config(dataset=hc.DatasetConfig(kind="csv", csv_path="pool.csv"), eval_size=42)
+
+    def test_importing_the_config_loads_no_runner(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, milab.harness.config; "
+             "print('milab.harness.runner' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.stdout.strip() == "False", proc.stderr
 
     def test_workers_excluded_from_canonical_form(self):
         a = tiny_config(workers=1)
@@ -1009,13 +1054,14 @@ class TestDeterminismContract:
     @settings(max_examples=8, deadline=None)
     def test_workers_and_warm_cache_give_identical_bytes(self, kind, master_seed,
                                                          attacks, dp):
-        dataset = (hc.DatasetConfig(num_classes=4, dim=8, n_per_class=10)
-                   if kind == "gaussian" else
-                   hc.DatasetConfig(kind="binary", num_classes=3, dim=12, n_per_class=12))
+        dataset, eval_size = (
+            (hc.DatasetConfig(num_classes=4, dim=8, n_per_class=10), 40)
+            if kind == "gaussian" else
+            (hc.DatasetConfig(kind="binary", num_classes=3, dim=12, n_per_class=12), 39))
         train = TrainConfig(epochs=8, learning_rate=0.1, batch_size=16,
                             dp=DpConfig(clip_norm=2.0, noise_multiplier=0.5) if dp else None)
         cfg = tiny_config(dataset=dataset, train=train, attacks=tuple(attacks),
-                          master_seed=master_seed)
+                          master_seed=master_seed, eval_size=eval_size)
         # A function-scoped tmp_path would be shared by every example.
         with tempfile.TemporaryDirectory() as tmp:
             runs = [Path(tmp, name) for name in ("cold", "workers2", "warm")]
@@ -1178,6 +1224,32 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and why in err, err
+
+    def test_eval_size_not_a_multiple_of_the_class_count_exits_1(self, tmp_path, capsys):
+        # 25 eval points over 10 classes were silently rounded down to 20.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eval_size": 25}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "eval_size must be a multiple of num_classes (10)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_on_a_header_only_scores_file_exits_1(self, tmp_path, capsys):
+        # It printed nothing and exited 0.
+        path = tmp_path / "scores.csv"
+        path.write_text("attack,challenge_index,model_id,truth,score\n")
+        assert cli.main(["metrics", "--scores", str(path)]) == 1
+        assert "no score rows" in capsys.readouterr().err
+
+    def test_ablate_with_no_values_exits_1_before_any_write(self, tmp_path, capsys):
+        # It ran no game, printed nothing and exited 0.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg_path), "--knob", "t_nb",
+                         "--values", ",", "--out", str(out)]) == 1
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,9 +1,8 @@
 """No API is kept only for tests: every public module-level function and class
 in ``src/milab`` is used by name somewhere in ``src/`` or ``bench/``.
 
-A use is a name or an attribute in the parsed code. The re-exports in
-``harness/__init__.py`` and the benchmark's own tests are not uses, and
-neither is the definition itself.
+A use is a name or an attribute in the parsed code. The benchmark's own
+tests are not uses, and neither is the definition itself.
 """
 
 import ast
@@ -11,7 +10,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "milab"
-REEXPORTS = PACKAGE / "harness" / "__init__.py"
 
 # module.name -> why it may have no caller yet.
 ALLOWED = {
@@ -33,8 +31,8 @@ def public_definitions() -> dict[str, Path]:
 
 def used_names() -> set[str]:
     """Every name and attribute read or written in src/ and bench/, except
-    in the re-exports and the benchmark's tests."""
-    paths = [p for p in sorted(PACKAGE.rglob("*.py")) if p != REEXPORTS]
+    in the benchmark's tests."""
+    paths = sorted(PACKAGE.rglob("*.py"))
     paths += [p for p in sorted((ROOT / "bench").glob("*.py"))
               if not p.name.startswith("test_") and p.name != "conftest.py"]
     names = set()
