@@ -74,7 +74,8 @@ def read_scores_csv(path: str) -> dict[str, tuple[list[float], list[float]]]:
     """Per attack, its (member, non-member) scores in file order.
 
     Raises ValueError when the header lacks an ``attack``, ``truth`` or
-    ``score`` column, no row follows it, or a score is outside [0, 1]."""
+    ``score`` column, no row follows it, a truth is not 0 or 1, or a score
+    is outside [0, 1]."""
     split: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
@@ -86,8 +87,11 @@ def read_scores_csv(path: str) -> dict[str, tuple[list[float], list[float]]]:
             score = float(row["score"])
             if not 0 <= score <= 1:
                 raise ValueError("score must be in [0, 1]")
+            truth = int(row["truth"])
+            if truth not in (0, 1):
+                raise ValueError("truth must be 0 or 1")
             s_in, s_out = split.setdefault(row["attack"], ([], []))
-            (s_in if int(row["truth"]) else s_out).append(score)
+            (s_in if truth else s_out).append(score)
     if not split:
         raise ValueError("no score rows")
     return split

@@ -126,8 +126,9 @@ def gen_neighbors(x: np.ndarray, modality: str, count: int,
     """Candidate neighbors of x, one per row of a [count, dim] matrix.
 
     Continuous modality adds isotropic Gaussian jitter with std noise_scale;
-    binary flips each bit independently with probability noise_scale.  Any
-    candidate exactly equal to x is rejected and resampled; raises
+    binary flips each bit independently with probability noise_scale.  Each
+    candidate is rounded to float32, like a dataset's features, and one
+    equal to x after rounding is rejected and resampled; raises
     ValueError when the pool would draw more than
     ``NEIGHBOR_DRAWS_PER_ROW * count`` rows.
     """
@@ -150,6 +151,7 @@ def gen_neighbors(x: np.ndarray, modality: str, count: int,
         else:
             flips = gen.random((todo, x.size)) < noise_scale
             cands = np.abs(x - flips.astype(np.float64))
+        cands = cands.astype(np.float32).astype(np.float64)
         # At most ``todo`` rows are drawn, so every row unequal to x fits.
         kept.append(cands[~(cands == x).all(axis=1)])
         todo -= len(kept[-1])

@@ -12,8 +12,8 @@ reproduces its outputs byte for byte.
 A KL entry stores the pool it was fitted on, and its key names the pool's
 recipe, not the pool's bytes, so a warm game generates no candidates.  The
 key therefore cannot see a change to how a recipe becomes a pool or a fit:
-any change to ``datagen.gen_neighbors``, to the runner's float32 rounding of
-the pool or to ``neighborhood.fit_kl`` must bump ``KL_FORMAT``.
+any change to ``datagen.gen_neighbors`` or to ``neighborhood.fit_kl`` must
+bump ``KL_FORMAT``.
 
 A target's accuracies are keyed by its model key and the evaluation set's
 content hash, which fix them only as long as labels are computed the same
@@ -37,7 +37,7 @@ from ..datagen import Dataset, dataset_blob
 logger = logging.getLogger(__name__)
 
 # Manifest format of a KL entry, and the version tag of its key.
-KL_FORMAT = "milab-kl-v3"
+KL_FORMAT = "milab-kl-v4"
 # Manifest format of a target's accuracies entry, and the version tag of its key.
 STATS_FORMAT = "milab-stats-v1"
 

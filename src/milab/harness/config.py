@@ -69,6 +69,8 @@ class NeighborhoodConfig:
                               "and size <= pool_size")
         if self.noise_scale is not None and not self.noise_scale > 0:
             raise ConfigError("noise_scale must be > 0")
+        if not math.isfinite(self.t_nb):
+            raise ConfigError("t_nb must be finite")
 
     def resolved_noise_scale(self, modality: str) -> float:
         if self.noise_scale is not None:

@@ -191,11 +191,10 @@ def _write_challenges(challenges: ChallengeSet, path: str) -> None:
 
 
 def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
-            trainer: TrainerPool, replica_counts: np.ndarray | None, game_strict: bool):
-    """Adaptive or strict per-point adaptive poisoning, or the given counts.
-
-    Returns the plan and the poison-free IN and OUT ensembles for the
-    neighborhood stage (one model list per point position)."""
+            trainer: TrainerPool, replica_counts: np.ndarray | None,
+            game_strict: bool) -> PoisonPlan:
+    """Adaptive or strict per-point adaptive poisoning, or the given counts;
+    the plan carries each point's poison-free ensembles."""
     if game_strict:
         return _strict_poisoning(cfg, pool, challenges, trainer)
     # At k_max 0 the loop trains only iteration 0's 2m poison-free models.
@@ -204,16 +203,11 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
                               derive_seed(cfg.master_seed, TAG_POISON))
     if replica_counts is not None:
         plan.replica_counts = replica_counts
-    shadow = plan.shadow_models
-    in_models = [[shadow[row] for row in np.flatnonzero(plan.split[:, idx])]
-                 for idx in challenges.indices]
-    out_models = [[shadow[row] for row in np.flatnonzero(~plan.split[:, idx])]
-                  for idx in challenges.indices]
-    return plan, in_models, out_models
+    return plan
 
 
 def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
-                      challenges: ChallengeSet, trainer: TrainerPool):
+                      challenges: ChallengeSet, trainer: TrainerPool) -> PoisonPlan:
     """Per-point adaptive poisoning (the literal game ordering): each point
     gets its own attacker dataset (pool minus the point) and OUT ensembles;
     IN ensembles for the neighborhood are trained separately."""
@@ -242,16 +236,15 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         in_models.append(trainer.many(
             [(d_in, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))
-    plan = PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
-                      models_trained=len(trainer.keys))
-    return plan, in_models, out_models
+    return PoisonPlan(replica_counts=counts, iterations_run=int(counts.max(initial=0)),
+                      models_trained=len(trainer.keys), in_models=in_models,
+                      out_models=out_models)
 
 
 def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
-                         in_models, out_models, cache: ModelCache,
-                         path: str) -> np.ndarray:
+                         plan: PoisonPlan, cache: ModelCache, path: str) -> np.ndarray:
     """Candidate pools plus KL selection, one per point position, from that
-    point's poison-free ensembles ``in_models[pos]`` and ``out_models[pos]``.
+    point's poison-free IN and OUT ensembles in ``plan``.
     Returns the neighbors as one [points, size, dim] array; each point's
     diagnostics rows go to ``path`` as it is selected, so neither its
     selection record nor its printed rows outlive its turn.
@@ -267,7 +260,7 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
     pool_size, dim = cfg.neighborhood.pool_size, challenges.features.shape[1]
     # Each distinct model is digested once; every one stays alive (and so
     # keeps its id) through the stage.
-    distinct = {id(m): m for models in (*in_models, *out_models) for m in models}
+    distinct = {id(m): m for models in (*plan.in_models, *plan.out_models) for m in models}
     digests = {ident: params_digest(m) for ident, m in distinct.items()}
     members = np.empty((len(challenges), cfg.neighborhood.size, dim))
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -277,14 +270,12 @@ def _build_neighborhoods(cfg: ExperimentConfig, challenges: ChallengeSet,
             seed = derive_seed(cfg.master_seed, TAG_NEIGHBOR, pos)
             key = kl_key(x, y, {"modality": modality, "pool_size": pool_size,
                                 "noise_scale": noise, "seed": seed},
-                         [digests[id(m)] for m in in_models[pos]],
-                         [digests[id(m)] for m in out_models[pos]])
+                         [digests[id(m)] for m in plan.in_models[pos]],
+                         [digests[id(m)] for m in plan.out_models[pos]])
             cached = cache.get_kl(key, pool_size, dim)
             if cached is None:
                 cands = gen_neighbors(x, modality, pool_size, noise, seed)
-                # Round to float32 like the pool's features, in one cast per pool.
-                cands = cands.astype(np.float32).astype(np.float64)
-                kl = fit_kl((x, y), cands, in_models[pos], out_models[pos])
+                kl = fit_kl((x, y), cands, plan.in_models[pos], plan.out_models[pos])
                 text = kl_text(kl)
                 cache.put_kl(key, kl, cands, text)
             else:
@@ -427,13 +418,13 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str, cache_dir: str | None 
         challenges = _pick_challenges(cfg, pool)
         _write_challenges(challenges, artifacts["challenges"])
     with _stage("poison", stage_seconds):
-        plan, in_models, out_models = _poison(cfg, pool, challenges, shadow_trainer,
-                                              replica_counts, game_strict)
+        plan = _poison(cfg, pool, challenges, shadow_trainer, replica_counts,
+                       game_strict)
         save_poison_plan(plan, challenges, artifacts["poison_plan"],
                          [f"models/{key}" for key in shadow_trainer.keys])
     with _stage("neighborhood", stage_seconds):
-        members = _build_neighborhoods(cfg, challenges, in_models, out_models,
-                                       cache, artifacts["neighborhoods"])
+        members = _build_neighborhoods(cfg, challenges, plan, cache,
+                                       artifacts["neighborhoods"])
     with _stage("targets", stage_seconds):
         target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
                                                            plan, target_trainer)

@@ -13,7 +13,7 @@ challenge points there are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -76,13 +76,15 @@ def make_challenge_set(dataset: Dataset, indices) -> ChallengeSet:
 @dataclass
 class PoisonPlan:
     """Replica counts chosen by the adaptive loop, how many shadow models it
-    trained, and the poison-free ones of iteration 0: ``shadow_models[row]``
-    was trained on the points of ``split[row]``."""
+    trained, and each point's poison-free ensembles: ``in_models[p]`` and
+    ``out_models[p]`` were trained with and without point position p, in
+    ascending split-row order when ``split`` is given."""
 
     replica_counts: np.ndarray
     iterations_run: int            # index of the last executed iteration
-    models_trained: int = 0
-    shadow_models: list[Any] = field(default_factory=list)
+    models_trained: int
+    in_models: list[list[Any]]
+    out_models: list[list[Any]]
     split: np.ndarray | None = None
 
 
@@ -145,18 +147,13 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
                             derive_seed(seed, 0))
     counts = np.zeros(n_c, dtype=np.int64)
     frozen = np.zeros(n_c, dtype=bool)
-    shadow_models: list[Any] = []
-    models_trained = 0
-    # out[r, i]: shadow model r is OUT for point i; out_col[r, i] is then r's
-    # column among point i's OUT models, in ascending model order.
+    # out[r, i]: shadow model r is OUT for point i.
     out = ~split[:, challenges.indices]
     assert (out.sum(axis=0) == cfg.m).all(), "split plan must give m OUT models per point"
-    out_col = np.cumsum(out, axis=0) - 1
     subsets = [d_adv.subset(np.flatnonzero(row)) for row in split]
+    probe = np.zeros((len(subsets), n_c))
 
-    iterations_run = 0
     for iteration in range(cfg.k_max + 1):
-        iterations_run = iteration
         # The 2m trainings inside one iteration are independent; the trainer
         # may fan them out, iterations stay sequential. The job list lives
         # only for the call, so no iteration's training sets outlive it.
@@ -164,23 +161,22 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
                                      challenges.poisoned_labels, counts),
                          derive_seed(seed, 1 + iteration, row))
                         for row, subset in enumerate(subsets)])
-        models_trained += len(models)
         if iteration == 0:
-            shadow_models = models
+            in_models = [[models[r] for r in np.flatnonzero(~col)] for col in out.T]
+            out_models = [[models[r] for r in np.flatnonzero(col)] for col in out.T]
         live = np.flatnonzero(~frozen)
         assert (counts[live] == iteration).all(), "unfrozen counters advance in lockstep"
-        # [unfrozen point, OUT model] confidences on the true labels, one
-        # stacked call per model; each row's mean sums in the order np.mean
-        # of that row alone does.
-        conf = np.empty((len(live), cfg.m))
+        # probe[r, i]: model r's confidence on point i's true label, one
+        # stacked call per model over the live points it is OUT for. Each
+        # live point's m OUT confidences then form one row in ascending
+        # model order, so its mean sums in the order np.mean of that row
+        # alone does.
         for r, model in enumerate(models):
-            rows = np.flatnonzero(out[r, live])
-            if len(rows) == 0:
-                continue
-            points = live[rows]
-            probs = model.predict_proba(challenges.features[points])
-            conf[rows, out_col[r, points]] = probs[np.arange(len(points)),
-                                                   challenges.labels[points]]
+            points = live[out[r, live]]
+            if len(points):
+                probs = model.predict_proba(challenges.features[points])
+                probe[r, points] = probs[np.arange(len(points)), challenges.labels[points]]
+        conf = probe.T[live][out.T[live]].reshape(len(live), cfg.m)
         reached = conf.mean(axis=1) <= cfg.t_p
         frozen[live[reached]] = True
         counts[live[~reached]] += 1
@@ -188,9 +184,9 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
             break
 
     np.minimum(counts, cfg.k_max, out=counts)
-    return PoisonPlan(replica_counts=counts, iterations_run=iterations_run,
-                      models_trained=models_trained, shadow_models=shadow_models,
-                      split=split)
+    return PoisonPlan(replica_counts=counts, iterations_run=iteration,
+                      models_trained=(iteration + 1) * len(subsets),
+                      in_models=in_models, out_models=out_models, split=split)
 
 
 def save_poison_plan(plan: PoisonPlan, challenges: ChallengeSet, path: str,

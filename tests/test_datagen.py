@@ -137,6 +137,15 @@ class TestNeighbors:
             assert cands.shape == (100, 6)
             assert not (cands == x).all(axis=1).any()
 
+    def test_rows_are_on_the_float32_grid_and_none_rounds_onto_the_point(self):
+        # Jitter of 1e-7 on a float32 point rounds back onto it in some draws;
+        # the pool is compared with x after rounding, so those are redrawn.
+        x = np.array([1.0, 0.5, 0.75])
+        cands = dg.gen_neighbors(x, dg.CONTINUOUS, count=200, noise_scale=1e-7, seed=4)
+        assert cands.shape == (200, 3)
+        np.testing.assert_array_equal(cands, cands.astype(np.float32))
+        assert not (cands == x).all(axis=1).any()
+
     def test_small_noise_stays_close(self):
         x = np.linspace(0, 1, 8)
         cands = dg.gen_neighbors(x, dg.CONTINUOUS, count=50, noise_scale=1e-6, seed=2)

@@ -21,7 +21,7 @@ from milab.harness import cache as hcache
 from milab.harness import cli
 from milab.harness import config as hc
 from milab.harness import runner as hr
-from milab.neighborhood import kl_text
+from milab.neighborhood import fit_kl, kl_text
 from milab.nncore import DpConfig, TrainConfig
 from milab.poisoner import PoisonConfig
 from milab.rng import derive_seed
@@ -830,6 +830,21 @@ class TestPrivacyGame:
         assert (cost["cache_hits"], cost["cache_misses"]) == (
             0, cost["shadow_models"] + cost["target_models"])
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["batched", "strict"])
+    def test_every_kl_fit_gets_m_in_and_m_out_models(self, tmp_path, monkeypatch,
+                                                      strict):
+        sizes = []
+
+        def recording_fit_kl(challenge, cands, in_models, out_models):
+            sizes.append((len(in_models), len(out_models)))
+            return fit_kl(challenge, cands, in_models, out_models)
+
+        monkeypatch.setattr(hr, "fit_kl", recording_fit_kl)
+        cfg = tiny_config()
+        hr.run_privacy_game(cfg, str(tmp_path / "run"), game_strict=strict)
+        m = cfg.poison.m
+        assert sizes == [(m, m)] * cfg.num_challenge_points
+
     def test_cost_formula_on_exhausted_run(self, tmp_path):
         # Weak models never push confidence below a tiny threshold, so the
         # loop exhausts and trains the full 2(k_max+1)m shadow set.
@@ -1134,6 +1149,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'neighborhood'" in err and "noise_scale 1e-300" in err
 
+    def test_jitter_that_rounds_back_onto_the_point_fails_the_run(self, tmp_path, capsys):
+        # 1e-9 jitter moves a point only below float32 resolution, so every
+        # rounded candidate is the point itself and the pool gives up.
+        cfg = tiny_config(neighborhood=hc.NeighborhoodConfig(size=8, pool_size=16,
+                                                             noise_scale=1e-9))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.canonical_dict()))
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'neighborhood'" in err and "noise_scale 1e-09" in err
+
     def test_bad_csv_input_exit_code(self, tmp_path, capsys):
         # Bad input is a config error that names the file, not a stage failure.
         bad = {
@@ -1207,8 +1234,11 @@ class TestCli:
         (["metrics", "no_score.csv"], "no score column"),
         (["metrics", "score_above_one.csv"], "score must be in [0, 1]"),
         (["metrics", "no_out_rows.csv"], "empty score list"),
+        (["metrics", "truth_2.csv"], "truth must be 0 or 1"),
+        (["metrics", "truth_negative.csv"], "truth must be 0 or 1"),
     ], ids=["tau_0", "classes_1", "fpr_2", "k_negative", "k_max_negative",
-            "no_score_column", "score_above_one", "no_out_rows"])
+            "no_score_column", "score_above_one", "no_out_rows", "truth_2",
+            "truth_negative"])
     def test_bad_theory_or_metrics_input_exits_1(self, tmp_path, capsys, argv, why):
         scores = {
             "no_score.csv": "attack,challenge_index,model_id,truth\ngap,0,0,1\n",
@@ -1216,6 +1246,10 @@ class TestCli:
                                    "gap,0,0,1,1.5\ngap,1,0,0,0.0\n",
             "no_out_rows.csv": "attack,challenge_index,model_id,truth,score\n"
                                "gap,0,0,1,1.0\n",
+            "truth_2.csv": "attack,challenge_index,model_id,truth,score\n"
+                           "gap,0,0,2,1.0\ngap,1,0,0,0.0\n",
+            "truth_negative.csv": "attack,challenge_index,model_id,truth,score\n"
+                                  "gap,0,0,-1,1.0\ngap,1,0,0,0.0\n",
         }
         if argv[0] == "metrics":
             path = tmp_path / argv[1]
@@ -1249,6 +1283,17 @@ class TestCli:
         assert cli.main(["ablate", "--config", str(cfg_path), "--knob", "t_nb",
                          "--values", ",", "--out", str(out)]) == 1
         assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["nan", "0.5,inf", "0.5,-inf"])
+    def test_ablate_non_finite_t_nb_exits_1_before_any_write(self, tmp_path, capsys,
+                                                              values):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config().canonical_dict()))
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg_path), "--knob", "t_nb",
+                         "--values", values, "--out", str(out)]) == 1
+        assert "t_nb must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_module_entry_point(self):

@@ -220,11 +220,16 @@ class TestAdaptPoisonMulti:
         plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
         for idx in (3, 20):
             assert plan.split[:, idx].sum() == 4
-        assert len(plan.shadow_models) == 8
-        for row, model in enumerate(plan.shadow_models):
-            subset = np.flatnonzero(plan.split[row])
-            np.testing.assert_array_equal(model.train_set.features,
-                                          d_adv.features[subset])
+        # Each point's IN and OUT models are those of the split rows that
+        # include and exclude it, in row order, each trained on its row.
+        for pos, idx in enumerate((3, 20)):
+            for models, rows in ((plan.in_models[pos], plan.split[:, idx]),
+                                 (plan.out_models[pos], ~plan.split[:, idx])):
+                assert len(models) == cfg.m
+                for model, row in zip(models, np.flatnonzero(rows)):
+                    subset = np.flatnonzero(plan.split[row])
+                    np.testing.assert_array_equal(model.train_set.features,
+                                                  d_adv.features[subset])
 
     def test_each_model_is_probed_once_per_iteration(self):
         d_adv = base_dataset(n=30, seed=8)
@@ -257,7 +262,7 @@ class TestAdaptPoisonMulti:
         cfg = po.PoisonConfig(t_p=0.15, m=2, k_max=2)
         plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
         y_p = int(challenges.poisoned_labels[0])
-        for model in plan.shadow_models:
+        for model in plan.in_models[0] + plan.out_models[0]:
             ts = model.train_set
             matches = (ts.features == challenges.features[0]).all(axis=1)
             assert int(np.sum(matches & (ts.labels == y_p))) == 0
