@@ -161,13 +161,23 @@ def gen_neighbors(x: np.ndarray, modality: str, count: int,
 DATASET_FORMAT = "milab-dataset-v1"
 
 
+def blob_parts(blocks, num_classes: int):
+    """The bytes of a dataset whose rows are the (features, labels) pairs of
+    ``blocks`` stacked in order, in pieces: each block's little-endian
+    float32 features (row-major), then each block's little-endian uint16
+    labels. Joined, they are ``dataset_blob`` of the stacked dataset."""
+    if num_classes > 65535:
+        raise ValueError("uint16 labels cannot hold this many classes")
+    for features, _ in blocks:
+        yield np.ascontiguousarray(features, dtype="<f4").tobytes()
+    for _, labels in blocks:
+        yield np.ascontiguousarray(labels, dtype="<u2").tobytes()
+
+
 def dataset_blob(ds: Dataset) -> bytes:
     """The bytes of ``ds``: little-endian float32 features (row-major)
     followed by little-endian uint16 labels."""
-    if ds.num_classes > 65535:
-        raise ValueError("uint16 labels cannot hold this many classes")
-    return (np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
-            + np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
+    return b"".join(blob_parts([(ds.features, ds.labels)], ds.num_classes))
 
 
 def save_dataset(ds: Dataset, stem: str) -> None:

@@ -2,12 +2,12 @@
 and target models' accuracies.
 
 Cache keys are sha256 digests of everything the artifact depends on: for a
-model, a canonical-JSON description of its training set's ``dataset_digest``,
-training config, architecture and seed; for a point's KL fit, the point, its
-label, the recipe of its candidate pool (modality, pool size, noise scale and
-seed) and the parameters of its IN and OUT shadow models.  So ablations
-recompute only what actually changed, and a re-run with an intact cache
-reproduces its outputs byte for byte.
+model, a canonical-JSON description of the ``dataset_digest`` of its
+training set's recipe, its training config, architecture and seed; for a
+point's KL fit, the point, its label, the recipe of its candidate pool
+(modality, pool size, noise scale and seed) and the parameters of its IN and
+OUT shadow models.  So ablations recompute only what actually changed, and
+a re-run with an intact cache reproduces its outputs byte for byte.
 
 A KL entry stores the pool it was fitted on, and its key names the pool's
 recipe, not the pool's bytes, so a warm game generates no candidates.  The
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import nncore
-from ..datagen import Dataset, dataset_blob
+from ..datagen import Dataset, blob_parts
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +58,16 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def dataset_digest(ds: Dataset) -> str:
-    """sha256 of ``dataset_blob(ds)``, the bytes ``save_dataset`` writes,
-    then of the class count."""
-    h = hashlib.sha256(dataset_blob(ds))
+def dataset_digest(ds) -> str:
+    """sha256 of the blob of ``ds``, then of its class count.
+
+    For a Dataset the blob is ``dataset_blob(ds)``, the bytes
+    ``save_dataset`` writes; for a ``poisoner.TrainingSet`` recipe it is
+    that of ``ds.build()``, streamed block by block without building it."""
+    blocks = [(ds.features, ds.labels)] if isinstance(ds, Dataset) else ds.blocks()
+    h = hashlib.sha256()
+    for part in blob_parts(blocks, ds.num_classes):
+        h.update(part)
     h.update(str(ds.num_classes).encode())
     return h.hexdigest()
 
@@ -175,9 +181,11 @@ class ModelCache:
                 for kind, prefix in COUNTER_PREFIXES.items()
                 for name, value in asdict(self.tallies[kind]).items()}
 
-    def model_key(self, ds: Dataset, cfg: nncore.TrainConfig, hidden) -> str:
+    def model_key(self, recipe, cfg: nncore.TrainConfig, hidden) -> str:
+        """Key of the model trained on the ``poisoner.TrainingSet``
+        ``recipe`` with ``cfg`` and hidden widths ``hidden``."""
         return digest({
-            "dataset": dataset_digest(ds),
+            "dataset": dataset_digest(recipe),
             "train": train_config_dict(cfg),
             "hidden": list(hidden),
         })

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import __version__, metrics, nncore
+from .. import BLAS_ENV, __version__, metrics, nncore
 from ..attack import (CHAMELEON, LabelOnlyModel, chameleon_score, gap_score,
                       write_scores_csv)
 from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
@@ -29,9 +29,8 @@ from ..datagen import (Dataset, gen_binary_tabular, gen_gaussian_mixture,
                        save_dataset)
 from ..neighborhood import (DIAGNOSTICS_HEADER, diagnostics_rows, fit_kl, kl_text,
                             select_neighborhood)
-from ..poisoner import (ChallengeSet, PoisonPlan, adapt_poison_single,
-                        adapt_poison_multi, make_challenge_set, save_poison_plan,
-                        with_copies)
+from ..poisoner import (ChallengeSet, PoisonPlan, TrainingSet, adapt_poison_single,
+                        adapt_poison_multi, make_challenge_set, save_poison_plan)
 from ..rng import derive_seed, make_rng
 from .cache import (ModelCache, canonical_json, dataset_digest, digest, file_digest,
                     kl_key, params_digest, stats_key)
@@ -122,13 +121,15 @@ def _gen_dataset(cfg: ExperimentConfig, seed: int, n_per_class: int) -> Dataset:
 
 
 def _train_job(args) -> nncore.ModelParams:
-    ds, train_cfg, hidden = args
-    return nncore.train(ds, train_cfg, hidden)
+    recipe, train_cfg, hidden = args
+    return nncore.train(recipe.build(), train_cfg, hidden)
 
 
 class TrainerPool:
     """Cached, optionally parallel model training with derived seeds.
 
+    A job names its training set by its recipe, which the process that
+    trains the model builds: a worker when the pool runs, else this one.
     ``keys`` lists the cache key of every model returned, in call order."""
 
     def __init__(self, base_cfg: nncore.TrainConfig, hidden: tuple[int, ...],
@@ -139,10 +140,10 @@ class TrainerPool:
         self.workers = workers
         self.keys: list[str] = []
 
-    def many(self, jobs: list[tuple[Dataset, int]]) -> list[nncore.ModelParams]:
+    def many(self, jobs: list[tuple[TrainingSet, int]]) -> list[nncore.ModelParams]:
         cfgs = [replace(self.base_cfg, seed=seed) for _, seed in jobs]
-        keys = [self.cache.model_key(ds, cfg, self.hidden)
-                for (ds, _), cfg in zip(jobs, cfgs)]
+        keys = [self.cache.model_key(recipe, cfg, self.hidden)
+                for (recipe, _), cfg in zip(jobs, cfgs)]
         models = [self.cache.get(key) for key in keys]
         missing = [i for i, model in enumerate(models) if model is None]
         args = [(jobs[i][0], cfgs[i], self.hidden) for i in missing]
@@ -232,7 +233,7 @@ def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
         counts[pos] = adapt_poison_single(
             (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
             train_out, seed=seed_i)
-        d_in = with_copies(d_i, x[None, :], [y], [1])
+        d_in = TrainingSet(d_i, None, x[None, :], [y], [1])
         in_models.append(trainer.many(
             [(d_in, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))
@@ -292,37 +293,38 @@ def _train_targets(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSe
     """Challenger target models: half-pool splits, balanced membership per
     challenge point, plus the attacker's poisoned replicas.
 
-    Returns the [target, point] membership matrix, each target's training
-    set and the targets."""
+    Returns the [target, point] membership matrix, the recipe of each
+    target's training set and the targets."""
     split = make_split_plan(len(pool), challenges.indices, cfg.num_target_models,
                             derive_seed(cfg.master_seed, TAG_TARGET_SPLIT))
     half = cfg.num_target_models // 2
     for idx in challenges.indices:
         assert split[:, idx].sum() == half, \
             "challenge membership must be balanced across target models"
-    train_sets = [with_copies(pool.subset(np.flatnonzero(row)), challenges.features,
-                              challenges.poisoned_labels, plan.replica_counts)
-                  for row in split]
+    recipes = [TrainingSet(pool, np.flatnonzero(row), challenges.features,
+                           challenges.poisoned_labels, plan.replica_counts)
+               for row in split]
     seeds = [derive_seed(cfg.master_seed, TAG_TARGET_MODEL, j)
              for j in range(cfg.num_target_models)]
-    return split, train_sets, trainer.many(list(zip(train_sets, seeds)))
+    return split, recipes, trainer.many(list(zip(recipes, seeds)))
 
 
-def _write_model_stats(path: str, targets, train_sets, keys: list[str],
+def _write_model_stats(path: str, targets, recipes: list[TrainingSet], keys: list[str],
                        eval_ds: Dataset, cache: ModelCache) -> None:
     """Per-target train/eval accuracy to ``path``.
 
     Target j's pair is cached under its model key ``keys[j]`` and the eval
-    set, so only a miss computes it."""
+    set, so only a miss computes it, and only a miss builds the target's
+    training set from ``recipes[j]``."""
     eval_digest = dataset_digest(eval_ds)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model_id", "train_accuracy", "eval_accuracy"])
-        for j, (model, train_set, model_key) in enumerate(zip(targets, train_sets, keys)):
+        for j, (model, recipe, model_key) in enumerate(zip(targets, recipes, keys)):
             key = stats_key(model_key, eval_digest)
             cached = cache.get_stats(key)
             if cached is None:
-                tr = nncore.accuracy(model, train_set)
+                tr = nncore.accuracy(model, recipe.build())
                 ev = nncore.accuracy(model, eval_ds)
                 cache.put_stats(key, tr, ev)
             else:
@@ -426,9 +428,9 @@ def run_privacy_game(cfg: ExperimentConfig, out_dir: str, cache_dir: str | None 
         members = _build_neighborhoods(cfg, challenges, plan, cache,
                                        artifacts["neighborhoods"])
     with _stage("targets", stage_seconds):
-        target_split, train_sets, targets = _train_targets(cfg, pool, challenges,
-                                                           plan, target_trainer)
-        _write_model_stats(artifacts["model_stats"], targets, train_sets,
+        target_split, recipes, targets = _train_targets(cfg, pool, challenges,
+                                                        plan, target_trainer)
+        _write_model_stats(artifacts["model_stats"], targets, recipes,
                            target_trainer.keys, eval_ds, cache)
     with _stage("scores", stage_seconds):
         scores, total_queries = _score(cfg, challenges, members, targets)
@@ -508,6 +510,7 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str, artifacts: dict[str, st
     manifest = {
         "tool_version": __version__,
         "numpy_version": np.__version__,
+        "blas_env": {var: os.environ.get(var) for var in BLAS_ENV},
         "config_hash": digest(cfg.canonical_dict()),
         "created_unix": time.time(),
         "artifacts": {name: {"path": os.path.relpath(path, out_dir),

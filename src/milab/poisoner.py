@@ -21,10 +21,10 @@ import numpy as np
 from .datagen import Dataset, make_split_plan
 from .rng import derive_seed
 
-# Trainer seam: a list of (training set, model seed) jobs -> one model per
-# job, in job order; each model exposes predict_proba, on one input [d] or a
-# stack [n, d].
-TrainerFn = Callable[[list[tuple[Dataset, int]]], list[Any]]
+# Trainer seam: a list of (training set recipe, model seed) jobs -> one model
+# per job, in job order; each model exposes predict_proba, on one input [d]
+# or a stack [n, d].
+TrainerFn = Callable[[list[tuple["TrainingSet", int]]], list[Any]]
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,52 @@ class PoisonPlan:
     split: np.ndarray | None = None
 
 
-def with_copies(base: Dataset, features: np.ndarray, labels, counts) -> Dataset:
-    """``base`` followed by ``counts[i]`` copies of the row
-    ``(features[i], labels[i])``, in ascending i; ``base`` itself when every
-    count is 0."""
-    if not len(features) == len(labels) == len(counts):
-        raise ValueError("replica counts misaligned with their rows")
-    if not np.any(counts):
-        return base
-    reps = np.repeat(np.arange(len(counts)), counts)
-    return Dataset(np.concatenate([base.features, features[reps]]),
-                   np.concatenate([base.labels, np.asarray(labels)[reps]]),
-                   base.num_classes)
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Recipe of a training set: the rows ``rows`` of ``base`` (all of them
+    when None), then ``counts[i]`` copies of the row ``(features[i],
+    labels[i])``, in ascending i.
+
+    A trainer job carries the recipe, not the rows, so only the process that
+    trains on a set builds it. The counts are copied, so the caller may
+    change its own array afterwards."""
+
+    base: Dataset
+    rows: np.ndarray | None
+    features: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.features) == len(self.labels) == len(self.counts):
+            raise ValueError("replica counts misaligned with their rows")
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "counts", np.array(self.counts, dtype=np.int64))
+
+    @property
+    def num_classes(self) -> int:
+        return self.base.num_classes
+
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(features, labels) of the base rows, then of the copies: the rows
+        of ``build()``, in order."""
+        base, rows = self.base, self.rows
+        reps = np.repeat(np.arange(len(self.counts)), self.counts)
+        head = ((base.features, base.labels) if rows is None
+                else (base.features[rows], base.labels[rows]))
+        return [head, (self.features[reps], self.labels[reps])]
+
+    def build(self) -> Dataset:
+        """The training set; ``base`` itself when it has no row selection and
+        every count is 0."""
+        (features, labels), (copy_features, copy_labels) = self.blocks()
+        if len(copy_labels):
+            features = np.concatenate([features, copy_features])
+            labels = np.concatenate([labels, copy_labels])
+        elif self.rows is None:
+            return self.base
+        return Dataset(features, labels, self.num_classes)
 
 
 def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
@@ -120,8 +154,8 @@ def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
         raise ValueError("challenge point must not be in the attacker dataset")
 
     for k in range(cfg.k_max + 1):
-        train_set = with_copies(d_adv, x[None, :], [poisoned_label], [k])
-        models = train([(train_set, derive_seed(seed, k, j)) for j in range(cfg.m)])
+        recipe = TrainingSet(d_adv, None, x[None, :], [poisoned_label], [k])
+        models = train([(recipe, derive_seed(seed, k, j)) for j in range(cfg.m)])
         if float(np.mean([model.predict_proba(x)[y] for model in models])) <= cfg.t_p:
             return k
     return cfg.k_max
@@ -150,17 +184,16 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
     # out[r, i]: shadow model r is OUT for point i.
     out = ~split[:, challenges.indices]
     assert (out.sum(axis=0) == cfg.m).all(), "split plan must give m OUT models per point"
-    subsets = [d_adv.subset(np.flatnonzero(row)) for row in split]
-    probe = np.zeros((len(subsets), n_c))
+    rows = [np.flatnonzero(row) for row in split]
+    probe = np.zeros((len(rows), n_c))
 
     for iteration in range(cfg.k_max + 1):
         # The 2m trainings inside one iteration are independent; the trainer
-        # may fan them out, iterations stay sequential. The job list lives
-        # only for the call, so no iteration's training sets outlive it.
-        models = train([(with_copies(subset, challenges.features,
+        # may fan them out, iterations stay sequential.
+        models = train([(TrainingSet(d_adv, split_rows, challenges.features,
                                      challenges.poisoned_labels, counts),
-                         derive_seed(seed, 1 + iteration, row))
-                        for row, subset in enumerate(subsets)])
+                         derive_seed(seed, 1 + iteration, r))
+                        for r, split_rows in enumerate(rows)])
         if iteration == 0:
             in_models = [[models[r] for r in np.flatnonzero(~col)] for col in out.T]
             out_models = [[models[r] for r in np.flatnonzero(col)] for col in out.T]
@@ -185,21 +218,32 @@ def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,
 
     np.minimum(counts, cfg.k_max, out=counts)
     return PoisonPlan(replica_counts=counts, iterations_run=iteration,
-                      models_trained=(iteration + 1) * len(subsets),
+                      models_trained=(iteration + 1) * len(rows),
                       in_models=in_models, out_models=out_models, split=split)
 
 
 def save_poison_plan(plan: PoisonPlan, challenges: ChallengeSet, path: str,
                      model_refs: list[str]) -> None:
-    """Plan manifest: per-point counts, poisoned labels, split bits, model refs."""
+    """Plan manifest: per-point counts, poisoned labels, split bits, model
+    refs, in the bytes ``json.dump(doc, f, indent=2, sort_keys=True)``
+    writes. The split block, one bit per line, is joined as text: the JSON
+    encoder took five times as long to indent it."""
     doc = {
         "replica_counts": [int(k) for k in plan.replica_counts],
         "iterations_run": plan.iterations_run,
         "challenge_indices": [int(i) for i in challenges.indices],
         "poisoned_labels": [int(y) for y in challenges.poisoned_labels],
-        "split_inclusion": (
-            plan.split.astype(int).tolist() if plan.split is not None else None),
         "models": model_refs,
     }
+    split = "null"
+    if plan.split is not None:
+        bits = np.where(plan.split, "1", "0").tolist()
+        split = ("[\n    [\n      "
+                 + "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in bits)
+                 + "\n    ]\n  ]")
+    # "split_inclusion" sorts after every other key, so it closes the document.
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write(json.dumps(doc, indent=2, sort_keys=True)[:-2])
+        f.write(',\n  "split_inclusion": ')
+        f.write(split)
+        f.write("\n}")

@@ -44,3 +44,20 @@ def test_other_bytes_fail_the_comparison(tmp_path):
     proc = run_tool(tmp_path, str(b_root))
     assert proc.returncode == 1
     assert "B cold game: model_stats.csv differs from the first cold game" in proc.stderr
+
+
+def test_a_skipped_lookup_fails_the_comparison(tmp_path):
+    # B is a copy of this checkout whose stats lookups always miss: it writes
+    # the same bytes, recomputing every target's accuracies.
+    b_root = tmp_path / "b"
+    shutil.copytree(os.path.join(ROOT, "src"), b_root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = b_root / "src" / "milab" / "harness" / "cache.py"
+    text = cache.read_text()
+    lookup = 'return self._lookup("stats", key, _load_stats)'
+    assert lookup in text
+    cache.write_text(text.replace(lookup, lookup.replace("key,", 'key + "-never",')))
+    proc = run_tool(tmp_path, str(b_root))
+    assert proc.returncode == 1
+    assert "differs" not in proc.stderr
+    assert "B warm game 0: stats_cache_misses is " in proc.stderr

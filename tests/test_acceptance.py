@@ -199,7 +199,7 @@ class _CountingStub:
 
     def __call__(self, jobs):
         self.models_trained += len(jobs)
-        return [self._model(train_set) for train_set, _ in jobs]
+        return [self._model(recipe.build()) for recipe, _ in jobs]
 
     def _model(self, train_set):
         schedules = self.schedules

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milab import nncore
+from milab import BLAS_ENV, nncore
 from milab.attack import CHAMELEON, GAP, LabelOnlyModel
 from milab.datagen import gen_neighbors
 from milab.harness import cache as hcache
@@ -23,7 +23,7 @@ from milab.harness import config as hc
 from milab.harness import runner as hr
 from milab.neighborhood import fit_kl, kl_text
 from milab.nncore import DpConfig, TrainConfig
-from milab.poisoner import PoisonConfig
+from milab.poisoner import PoisonConfig, TrainingSet
 from milab.rng import derive_seed
 from test_golden import CHECKED, CONFIGS, GOLDEN
 
@@ -289,11 +289,16 @@ class TestConfig:
         assert a.canonical_dict() == b.canonical_dict()
 
 
+def whole(ds) -> TrainingSet:
+    """The recipe of ``ds`` itself: all of its rows and no copies."""
+    return TrainingSet(ds, None, np.empty((0, ds.dim)), [], [])
+
+
 class TestModelCache:
     def test_cache_returns_identical_model(self, tmp_path):
         from milab.datagen import gen_gaussian_mixture
 
-        ds = gen_gaussian_mixture(3, 6, 10, 2.0, seed=0)
+        ds = whole(gen_gaussian_mixture(3, 6, 10, 2.0, seed=0))
         cache = hcache.ModelCache(str(tmp_path))
         trainer = hr.TrainerPool(TrainConfig(epochs=4, learning_rate=0.1, batch_size=8),
                                  (8,), cache)
@@ -307,13 +312,13 @@ class TestModelCache:
     def test_key_sensitive_to_inputs(self, tmp_path):
         from milab.datagen import gen_gaussian_mixture
 
-        ds = gen_gaussian_mixture(3, 6, 10, 2.0, seed=0)
+        ds = whole(gen_gaussian_mixture(3, 6, 10, 2.0, seed=0))
         cache = hcache.ModelCache(str(tmp_path))
         cfg = TrainConfig(epochs=4, learning_rate=0.1, batch_size=8, seed=7)
         base = cache.model_key(ds, cfg, (8,))
         assert cache.model_key(ds, replace(cfg, seed=8), (8,)) != base
         assert cache.model_key(ds, cfg, (9,)) != base
-        other = gen_gaussian_mixture(3, 6, 10, 2.0, seed=1)
+        other = whole(gen_gaussian_mixture(3, 6, 10, 2.0, seed=1))
         assert cache.model_key(other, cfg, (8,)) != base
 
     def test_dataset_digest_hashes_the_saved_blob(self, tmp_path):
@@ -881,6 +886,24 @@ class TestPrivacyGame:
             for ref in plan["models"]:
                 assert (out / "cache" / (ref + ".bin")).exists(), (name, ref)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_game_process_builds_only_the_sets_it_trains_or_scores(
+            self, workers, tmp_path, monkeypatch):
+        # A forked worker counts its own builds in its own copy of the list.
+        builds = []
+        build = TrainingSet.build
+        monkeypatch.setattr(TrainingSet, "build",
+                            lambda recipe: builds.append(None) or build(recipe))
+        cfg, cache = tiny_config(workers=workers), str(tmp_path / "cache")
+        cold = hr.run_privacy_game(cfg, str(tmp_path / "cold"), cache_dir=cache).cost
+        assert cold["cache_misses"] > 0
+        assert cold["stats_cache_misses"] == cfg.num_target_models
+        trained_here = cold["cache_misses"] if workers == 1 else 0
+        assert len(builds) == trained_here + cold["stats_cache_misses"]
+        builds.clear()
+        warm = hr.run_privacy_game(cfg, str(tmp_path / "warm"), cache_dir=cache).cost
+        assert (warm["cache_misses"], warm["stats_cache_misses"], len(builds)) == (0, 0, 0)
+
     def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hr, "gen_neighbors", broken_gen_neighbors)
         with pytest.raises(hr.StageError) as err:
@@ -1302,6 +1325,25 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("k,tpr,p,fpr")
+
+    @pytest.mark.parametrize("openblas", [None, "2"])
+    def test_cli_runs_at_one_blas_thread_unless_told(self, tmp_path, openblas):
+        # Importing cli set the variables in this process, so the child's
+        # environment is built without them.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(tiny_config(num_challenge_points=2).canonical_dict()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "milab.harness.cli", "run", "--config", str(cfg_path),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["blas_env"] == {"OPENBLAS_NUM_THREADS": openblas or "1",
+                                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def test_static_and_strict_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,15 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milab import poisoner as po
-from milab.datagen import Dataset, gen_gaussian_mixture
+from milab.datagen import Dataset, blob_parts, dataset_blob, gen_gaussian_mixture
+from milab.harness.cache import dataset_digest
 
 
 class ReplicaCountingModel:
@@ -43,7 +48,7 @@ class StubTrainer:
 
     def __call__(self, jobs):
         self.models_trained += len(jobs)
-        return [ReplicaCountingModel(train_set, self.schedules) for train_set, _ in jobs]
+        return [ReplicaCountingModel(recipe.build(), self.schedules) for recipe, _ in jobs]
 
 
 class ProbeRecordingModel(ReplicaCountingModel):
@@ -68,7 +73,7 @@ class ProbeRecordingTrainer(StubTrainer):
 
     def __call__(self, jobs):
         self.models_trained += len(jobs)
-        models = [ProbeRecordingModel(train_set, self.schedules) for train_set, _ in jobs]
+        models = [ProbeRecordingModel(recipe.build(), self.schedules) for recipe, _ in jobs]
         self.models += models
         return models
 
@@ -269,9 +274,12 @@ class TestAdaptPoisonMulti:
 
 
 class TestWithCopies:
+    """Replica copies as ``TrainingSet.build`` appends them."""
+
     @staticmethod
     def poison(ds, challenges, counts):
-        return po.with_copies(ds, challenges.features, challenges.poisoned_labels, counts)
+        return po.TrainingSet(ds, None, challenges.features, challenges.poisoned_labels,
+                              counts).build()
 
     def test_zero_counts_is_identity(self):
         ds = base_dataset(n=8)
@@ -312,11 +320,81 @@ class TestWithCopies:
     def test_one_true_label_copy_is_the_strict_in_layout(self):
         ds = base_dataset(n=6)
         x, y = ds.features[2] + 0.5, int(ds.labels[2])
-        out = po.with_copies(ds, x[None, :], [y], [1])
+        out = po.TrainingSet(ds, None, x[None, :], [y], [1]).build()
         np.testing.assert_array_equal(out.features,
                                       np.concatenate([ds.features, x[None, :]]))
         np.testing.assert_array_equal(out.labels, np.append(ds.labels, y))
         assert out.num_classes == ds.num_classes
+
+
+@st.composite
+def recipes(draw) -> po.TrainingSet:
+    """A random base, all of its rows or a random selection (repeats
+    allowed), and 0-4 replica rows whose counts may all be 0."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    num_classes = draw(st.integers(2, 7))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = Dataset(gen.normal(0, 3, (n, dim)), gen.integers(0, num_classes, n), num_classes)
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    copies = draw(st.integers(0, 4))
+    counts = draw(st.lists(st.integers(0, 3), min_size=copies, max_size=copies)
+                  | st.just([0] * copies))
+    return po.TrainingSet(base, None if rows is None else np.array(rows),
+                          gen.normal(0, 3, (copies, dim)),
+                          gen.integers(0, num_classes, copies), counts)
+
+
+class TestTrainingSet:
+    @given(recipes())
+    @settings(max_examples=150, deadline=None)
+    def test_streamed_blob_and_digest_are_those_of_the_built_set(self, recipe):
+        built = recipe.build()
+        assert (b"".join(blob_parts(recipe.blocks(), recipe.num_classes))
+                == dataset_blob(built))
+        assert dataset_digest(recipe) == dataset_digest(built)
+        selected = len(recipe.base) if recipe.rows is None else len(recipe.rows)
+        assert len(built) == selected + int(recipe.counts.sum())
+
+    def test_selected_rows_come_before_the_copies(self):
+        ds = base_dataset(n=8)
+        recipe = po.TrainingSet(ds, np.array([5, 1, 1]), ds.features[:2] + 9.0,
+                                [2, 3], [0, 2])
+        built = recipe.build()
+        np.testing.assert_array_equal(
+            built.features, np.concatenate([ds.features[[5, 1, 1]],
+                                            np.tile(ds.features[1] + 9.0, (2, 1))]))
+        np.testing.assert_array_equal(built.labels, [*ds.labels[[5, 1, 1]], 3, 3])
+
+    def test_counts_are_copied(self):
+        # The adaptive loop advances its counters after handing out recipes.
+        ds = base_dataset(n=6)
+        counts = np.array([1, 0])
+        recipe = po.TrainingSet(ds, None, ds.features[:2] + 1.0, [0, 1], counts)
+        counts += 5
+        assert len(recipe.build()) == 7
+
+
+class TestSavePoisonPlan:
+    @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_are_those_of_the_json_encoder(self, m, n, strict, seed):
+        gen = np.random.default_rng(seed)
+        ds = base_dataset(n=n, seed=seed % 100)
+        challenges = po.make_challenge_set(ds, [0])
+        split = None if strict else gen.random((2 * m, n)) < 0.5
+        plan = po.PoisonPlan(np.array([2]), 1, 2 * m, [], [], split)
+        refs = [f"models/{i}" for i in range(2 * m)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plan.json")
+            po.save_poison_plan(plan, challenges, path, refs)
+            with open(path, "r", encoding="utf-8") as f:
+                written = f.read()
+        expected = json.dumps({
+            "replica_counts": [2], "iterations_run": 1, "challenge_indices": [0],
+            "poisoned_labels": challenges.poisoned_labels.tolist(),
+            "split_inclusion": None if split is None else split.astype(int).tolist(),
+            "models": refs}, indent=2, sort_keys=True)
+        assert written == expected
 
 
 class TestChallengeSet:

@@ -12,9 +12,12 @@ the default config with ``t_p`` 0.05, at master seed ``--seed``. Each side
 first fills its own cache with one cold game. Then each pair plays one warm
 game per side, alternating which side goes first, and only the
 ``run_privacy_game`` call is timed. Every game's output files must equal
-the first cold game's, so a change to the bytes fails the comparison (exit
-1) instead of counting as a speed-up. It prints each side's median and
-quartiles, the number of pairs that B won, and the ratio of the medians.
+the first cold game's, and its ``cost.json`` counters (model counts, label
+queries and every cache lookup count) those of side A's first game of the
+same kind, cold or warm. So a change to the bytes, or one that skips or
+adds a lookup, fails the comparison (exit 1) instead of counting as a
+speed-up. It prints each side's median and quartiles, the number of pairs
+that B won, and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import json
 import logging
 import os
 import shutil
@@ -89,8 +93,9 @@ class Side:
         self.games = 0
         self.times: list[float] = []
 
-    def play(self) -> tuple[float, dict[str, str]]:
-        """One game on the side's cache: its seconds and output digests."""
+    def play(self) -> tuple[float, dict[str, str], dict[str, int]]:
+        """One game on the side's cache: its seconds, output digests and
+        counters."""
         out_dir = os.path.join(self.workdir, f"game{self.games}")
         self.games += 1
         gc.collect()
@@ -101,8 +106,12 @@ class Side:
         for name in CHECKED_FILES:
             with open(os.path.join(out_dir, name), "rb") as f:
                 digests[name] = hashlib.sha256(f.read()).hexdigest()
+        with open(os.path.join(out_dir, "cost.json"), "r", encoding="utf-8") as f:
+            counters = {name: value for name, value in json.load(f).items()
+                        if name in ("shadow_models", "total_label_queries")
+                        or name.endswith(("_hits", "_misses", "_corrupt"))}
         shutil.rmtree(out_dir)
-        return seconds, digests
+        return seconds, digests, counters
 
 
 def summary(side: Side) -> str:
@@ -111,27 +120,40 @@ def summary(side: Side) -> str:
             f"over {len(side.times)} warm games")
 
 
-def check(side: Side, game: str, digests: dict[str, str], reference: dict[str, str]) -> bool:
+def check(side: Side, game: str, digests: dict[str, str], reference: dict[str, str],
+          counters: dict[str, int], counted: dict[str, int]) -> bool:
+    """Whether the game's digests equal ``reference`` and its counters equal
+    ``counted``, those of A's first game of its kind; prints each that
+    differs."""
     differ = [name for name in CHECKED_FILES if digests[name] != reference[name]]
     for name in differ:
         print(f"ab_inproc: {side.label} {game}: {name} differs from the first cold game",
               file=sys.stderr)
-    return not differ
+    miscounted = [name for name in sorted(set(counters) | set(counted))
+                  if counters.get(name) != counted.get(name)]
+    for name in miscounted:
+        print(f"ab_inproc: {side.label} {game}: {name} is {counters.get(name)}, "
+              f"{counted.get(name)} in A's first game of this kind", file=sys.stderr)
+    return not differ and not miscounted
 
 
 def compare(sides: list[Side], pairs: int) -> int:
     reference = None
+    counted: dict[str, dict[str, int]] = {}  # game kind -> A's first game's counters
     for side in sides:
-        _, digests = side.play()  # fills the side's cache
+        _, digests, counters = side.play()  # fills the side's cache
         reference = reference or digests
-        if not check(side, "cold game", digests, reference):
+        counted.setdefault("cold", counters)
+        if not check(side, "cold game", digests, reference, counters, counted["cold"]):
             return 1
     wins = 0
     for i in range(pairs):
         seconds = {}
         for side in (sides if i % 2 == 0 else sides[::-1]):
-            seconds[side.label], digests = side.play()
-            if not check(side, f"warm game {i}", digests, reference):
+            seconds[side.label], digests, counters = side.play()
+            counted.setdefault("warm", counters)
+            if not check(side, f"warm game {i}", digests, reference, counters,
+                         counted["warm"]):
                 return 1
             side.times.append(seconds[side.label])
         wins += seconds["B"] < seconds["A"]
