@@ -49,9 +49,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
-
 
 def gen_gaussian_mixture(num_classes: int, dim: int, n_per_class: int,
                          class_sep: float, seed: int) -> Dataset:
@@ -207,15 +204,17 @@ def load_csv_dataset(path: str) -> Dataset:
     """Import tabular data: header row, last column is the integer label;
     the class count is the largest label plus one.
 
-    Raises ValueError when the file has no data rows, a row's length differs
-    from the header's, a cell does not parse, a label is out of range or
-    above 65534 (``dataset_blob`` stores labels as uint16), or the labels
-    span fewer than 2 classes."""
+    Raises ValueError when the header names no feature column, the file has
+    no data rows, a row's length differs from the header's, a cell does not
+    parse, a label is out of range or above 65534 (``dataset_blob`` stores
+    labels as uint16), or the labels span fewer than 2 classes."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV file")
+        if len(header) < 2:
+            raise ValueError("no feature columns")
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError("no data rows")

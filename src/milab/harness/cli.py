@@ -97,8 +97,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    with open(f"{args.run}/cost.json", "r", encoding="utf-8") as f:
-        sys.stdout.write(f.read())
+    try:
+        with open(f"{args.run}/cost.json", "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"bad run directory {args.run}: {exc}") from None
+    sys.stdout.write(text)
     return 0
 
 
@@ -106,7 +110,7 @@ def cmd_metrics(args) -> int:
     try:
         split = read_scores_csv(args.scores)
         reports = {attack: metrics.compute_report(*split[attack]) for attack in sorted(split)}
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad scores file {args.scores}: {exc}") from None
     for attack, report in reports.items():
         print(f"{attack}: {json.dumps(report.to_dict(), sort_keys=True)}")

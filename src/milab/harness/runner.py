@@ -209,31 +209,20 @@ def _poison(cfg: ExperimentConfig, pool: Dataset, challenges: ChallengeSet,
 
 def _strict_poisoning(cfg: ExperimentConfig, pool: Dataset,
                       challenges: ChallengeSet, trainer: TrainerPool) -> PoisonPlan:
-    """Per-point adaptive poisoning (the literal game ordering): each point
-    gets its own attacker dataset (pool minus the point) and OUT ensembles;
-    IN ensembles for the neighborhood are trained separately."""
+    """Per-point adaptive poisoning (the literal game ordering): each point's
+    attacker set is the pool without the point's own row, so a duplicate of
+    the point in another row stays. Its OUT ensemble is the adaptive loop's
+    k = 0 models; its IN ensemble trains on the same rows plus the point."""
     counts = np.zeros(len(challenges), dtype=np.int64)
     in_models, out_models = [], []
     for pos in range(len(challenges)):
-        idx = int(challenges.indices[pos])
-        keep = np.setdiff1d(np.arange(len(pool)), [idx])
-        d_i = pool.subset(keep)
-        x = challenges.features[pos]
-        y = int(challenges.labels[pos])
-        seed_i = derive_seed(cfg.master_seed, TAG_STRICT, pos)
-
-        def train_out(jobs):
-            models = trainer.many(jobs)
-            # The first call trains k = 0: the poison-free OUT ensemble the
-            # neighborhood stage needs.
-            if len(out_models) == pos:
-                out_models.append(models)
-            return models
-
-        counts[pos] = adapt_poison_single(
-            (x, y), int(challenges.poisoned_labels[pos]), d_i, cfg.poison,
-            train_out, seed=seed_i)
-        d_in = TrainingSet(d_i, None, x[None, :], [y], [1])
+        counts[pos], out = adapt_poison_single(
+            challenges, pos, pool, cfg.poison, trainer.many,
+            seed=derive_seed(cfg.master_seed, TAG_STRICT, pos))
+        out_models.append(out)
+        d_in = TrainingSet(pool, np.delete(np.arange(len(pool)), challenges.indices[pos]),
+                           challenges.features[pos:pos + 1],
+                           challenges.labels[pos:pos + 1], [1])
         in_models.append(trainer.many(
             [(d_in, derive_seed(cfg.master_seed, TAG_STRICT_IN, pos, j))
              for j in range(cfg.poison.m)]))

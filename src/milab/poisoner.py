@@ -136,29 +136,28 @@ class TrainingSet:
         return Dataset(features, labels, self.num_classes)
 
 
-def adapt_poison_single(challenge: tuple[np.ndarray, int], poisoned_label: int,
-                        d_adv: Dataset, cfg: PoisonConfig, train: TrainerFn,
-                        seed: int = 0) -> int:
-    """Adaptive replica count for one challenge point (not in d_adv).
+def adapt_poison_single(challenges: ChallengeSet, pos: int, pool: Dataset,
+                        cfg: PoisonConfig, train: TrainerFn,
+                        seed: int = 0) -> tuple[int, list[Any]]:
+    """Adaptive replica count for challenge point position ``pos``, whose
+    attacker set is ``pool`` without the point's own row; a duplicate of the
+    point in another row stays.
 
-    For k = 0..k_max, trains m OUT models on d_adv plus k poisoned replicas
-    in one ``train`` call and returns the first k whose mean OUT confidence
-    on the true label is at most t_p, or k_max when no count reaches the
-    threshold.
+    For k = 0..k_max, trains m OUT models on the attacker set plus k poisoned
+    replicas in one ``train`` call and stops at the first k whose mean OUT
+    confidence on the true label is at most t_p, or at k_max. Returns that k
+    and the m poison-free models of k = 0.
     """
-    x, y = challenge
-    x = np.asarray(x, dtype=np.float64)
-    if poisoned_label == y:
-        raise ValueError("poisoned label must differ from the true label")
-    if np.any((d_adv.features == x).all(axis=1) & (d_adv.labels == y)):
-        raise ValueError("challenge point must not be in the attacker dataset")
-
+    rows = np.delete(np.arange(len(pool)), challenges.indices[pos])
+    x, y = challenges.features[pos], challenges.labels[pos]
     for k in range(cfg.k_max + 1):
-        recipe = TrainingSet(d_adv, None, x[None, :], [poisoned_label], [k])
+        recipe = TrainingSet(pool, rows, x[None, :], [challenges.poisoned_labels[pos]], [k])
         models = train([(recipe, derive_seed(seed, k, j)) for j in range(cfg.m)])
+        if k == 0:
+            out_models = models
         if float(np.mean([model.predict_proba(x)[y] for model in models])) <= cfg.t_p:
-            return k
-    return cfg.k_max
+            break
+    return k, out_models
 
 
 def adapt_poison_multi(challenges: ChallengeSet, d_adv: Dataset,

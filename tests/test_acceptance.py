@@ -230,11 +230,14 @@ class TestCriterion7:
         gen = np.random.default_rng(19)
         d_adv = Dataset(gen.normal(0, 1, (20, 3)), gen.integers(0, 4, 20), 4)
         x = np.array([50.0, 50.0, 50.0])
+        # The point is the last row of its pool.
+        pool = Dataset(np.vstack([d_adv.features, x]), np.append(d_adv.labels, 1), 4)
+        point = make_challenge_set(pool, [len(d_adv)])
         checks = []
 
         def run_single(mu_fn, t_p, m, k_max):
             stub = _CountingStub({x.tobytes(): (1, 2, mu_fn)})
-            k = adapt_poison_single((x, 1), 2, d_adv, PoisonConfig(t_p, m, k_max), stub)
+            k, _ = adapt_poison_single(point, 0, pool, PoisonConfig(t_p, m, k_max), stub)
             return k, stub.models_trained
 
         k, trained = run_single(lambda k: max(0.0, 0.9 - 0.3 * k), 0.15, 4, 6)

@@ -1035,6 +1035,37 @@ class TestBinaryModality:
         diag = (tmp_path / "run" / "neighborhood_diagnostics.csv").read_text()
         assert len(diag.strip().splitlines()) == 1 + 4 * 24
 
+    def test_strict_game_keeps_duplicates_of_a_point(self, tmp_path, monkeypatch):
+        # Binary rows repeat. A strict attacker set drops only the point's own
+        # row, so a duplicate of the point stays; this game used to stop with
+        # "challenge point must not be in the attacker dataset".
+        cfg = tiny_config(
+            dataset=hc.DatasetConfig(kind="binary", num_classes=3, dim=12, n_per_class=12),
+            num_challenge_points=4, master_seed=0, eval_size=36)
+        pool, _ = hr._make_datasets(cfg)
+        challenges = hr._pick_challenges(cfg, pool)
+        copies = [int(((pool.features == pool.features[i]).all(axis=1)
+                       & (pool.labels == pool.labels[i])).sum()) for i in challenges.indices]
+        assert max(copies) > 1, copies
+        recipes = []
+        many = hr.TrainerPool.many
+
+        def recording_many(self, jobs):
+            recipes.extend(recipe for recipe, _ in jobs)
+            return many(self, jobs)
+
+        monkeypatch.setattr(hr.TrainerPool, "many", recording_many)
+        result = hr.run_privacy_game(cfg, str(tmp_path / "run"), game_strict=True)
+        assert len(result.replica_counts) == 4
+        # Every OUT and IN recipe holds the pool less one challenge point's
+        # own row, plus copies of that point.
+        strict = [recipe for recipe in recipes if len(recipe.counts) == 1]
+        assert len(strict) == len(recipes) - cfg.num_target_models
+        for recipe in strict:
+            (left_out,) = np.setdiff1d(np.arange(len(pool)), recipe.rows)
+            assert len(recipe.rows) == len(pool) - 1 and left_out in challenges.indices
+            assert (pool.features[left_out] == recipe.features[0]).all()
+
     def test_binary_neighbors_use_flip_noise_default(self):
         nbh = hc.NeighborhoodConfig()
         assert nbh.resolved_noise_scale("binary") == 0.025
@@ -1193,6 +1224,7 @@ class TestCli:
             "header_only.csv": ("f0,label\n", "no data rows"),
             "negative_label.csv": ("f0,label\n0.5,0\n1.5,-1\n", "labels out of range"),
             "one_class.csv": ("f0,label\n0.5,0\n1.5,0\n", "labels span fewer than 2 classes"),
+            "label_only.csv": ("label\n0\n1\n", "no feature columns"),
             "missing.csv": (None, "[Errno 2] No such file or directory"),
         }
         cases = [({"kind": "csv"}, "csv datasets need csv_path")]
@@ -1278,6 +1310,21 @@ class TestCli:
             path = tmp_path / argv[1]
             path.write_text(scores[argv[1]])
             argv = ["metrics", "--scores", str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and why in err, err
+
+    @pytest.mark.parametrize("command, why", [
+        ("metrics", "[Errno 21] Is a directory"),
+        ("cost", "[Errno 20] Not a directory"),
+    ], ids=["metrics_on_a_directory", "cost_on_a_file"])
+    def test_unreadable_metrics_or_cost_path_exits_1(self, tmp_path, capsys, command, why):
+        # Each exited 2, a runtime failure; a missing path already exited 1.
+        if command == "metrics":
+            argv = ["metrics", "--scores", str(tmp_path)]
+        else:
+            (tmp_path / "run").write_text("")
+            argv = ["cost", "--run", str(tmp_path / "run")]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and why in err, err

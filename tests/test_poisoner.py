@@ -90,15 +90,18 @@ def schedule_for(x, y, y_p, mu_fn):
 
 class TestAdaptPoisonSingle:
     def setup_method(self):
-        self.d_adv = base_dataset()
+        d_adv = base_dataset()
         self.x = np.array([50.0, 50.0, 50.0])
         self.y, self.y_p = 1, 2
+        # The point is the last row of its pool.
+        self.pool = Dataset(np.vstack([d_adv.features, self.x]),
+                            np.append(d_adv.labels, self.y), d_adv.num_classes)
+        self.challenges = po.make_challenge_set(self.pool, [len(d_adv)])
 
     def run(self, mu_fn, t_p=0.15, k_max=6, m=4):
         trainer = StubTrainer(schedule_for(self.x, self.y, self.y_p, mu_fn))
         cfg = po.PoisonConfig(t_p=t_p, m=m, k_max=k_max)
-        k = po.adapt_poison_single((self.x, self.y), self.y_p, self.d_adv,
-                                   cfg, trainer)
+        k, _ = po.adapt_poison_single(self.challenges, 0, self.pool, cfg, trainer)
         return k, trainer.models_trained
 
     def test_linear_decay_stops_at_three(self):
@@ -117,18 +120,32 @@ class TestAdaptPoisonSingle:
         assert k == 6
         assert trained == 7 * 4
 
-    def test_challenge_in_attacker_data_rejected(self):
-        ds = self.d_adv
-        x, y = ds.features[0], int(ds.labels[0])
-        trainer = StubTrainer({})
-        with pytest.raises(ValueError):
-            po.adapt_poison_single((x, y), (y + 1) % 4, ds, po.PoisonConfig(), trainer)
+    def test_only_the_points_own_row_leaves_the_attacker_set(self):
+        # A second copy of the point is another row of the pool, so it stays
+        # in every OUT model's training set; a check on features refused it.
+        pool = Dataset(np.vstack([self.pool.features, self.x]),
+                       np.append(self.pool.labels, self.y), self.pool.num_classes)
+        own = len(self.pool) - 1
+        challenges = po.make_challenge_set(pool, [own])
+        trainer = ProbeRecordingTrainer(schedule_for(self.x, self.y, self.y_p,
+                                                     lambda k: 0.5))
+        recipes = []
 
-    def test_same_label_rejected(self):
-        trainer = StubTrainer({})
-        with pytest.raises(ValueError):
-            po.adapt_poison_single((self.x, self.y), self.y, self.d_adv,
-                                   po.PoisonConfig(), trainer)
+        def train(jobs):
+            recipes.extend(recipe for recipe, _ in jobs)
+            return trainer(jobs)
+
+        k, out = po.adapt_poison_single(challenges, 0, pool,
+                                        po.PoisonConfig(m=3, k_max=2), train)
+        assert k == 2 and len(recipes) == 3 * 3
+        for recipe in recipes:
+            assert recipe.base is pool
+            assert recipe.rows.tolist() == [i for i in range(len(pool)) if i != own]
+        assert len(out) == 3 and all(a is b for a, b in zip(out, trainer.models[:3]))
+        for model in out:  # k = 0: the pool less one row, with the duplicate
+            assert len(model.train_set) == len(pool) - 1
+            assert ((model.train_set.features == self.x).all(axis=1)
+                    & (model.train_set.labels == self.y)).sum() == 1
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
            st.floats(0.05, 0.95))
@@ -173,14 +190,10 @@ class TestAdaptPoisonMulti:
             cfg = po.PoisonConfig(t_p=0.2, m=2, k_max=5)
             plan = po.adapt_poison_multi(challenges, d_adv, cfg, trainer)
 
-            x = challenges.features[0]
-            outside = Dataset(np.delete(d_adv.features, 7, axis=0),
-                              np.delete(d_adv.labels, 7), d_adv.num_classes)
             single_trainer = StubTrainer(
                 self.multi_schedules(d_adv, challenges, [mu]))
-            k_single = po.adapt_poison_single(
-                (x, int(challenges.labels[0])), int(challenges.poisoned_labels[0]),
-                outside, cfg, single_trainer)
+            k_single, _ = po.adapt_poison_single(challenges, 0, d_adv, cfg,
+                                                 single_trainer)
             assert plan.replica_counts[0] == k_single
 
     def test_immediate_freeze_trains_one_round(self):
